@@ -205,9 +205,9 @@ class _EventDriver:
                     self.injector.heal(node, peer)
             started = time.perf_counter()
             self.ring.store.mark_up(node)
-            from repro.rpc.repair import RemoteReplicaRepairer
+            from repro.kvstore.repair import ReplicaRepairer
 
-            RemoteReplicaRepairer(self.ring.store).repair_node(node)
+            ReplicaRepairer(self.ring.store).repair_node(node)
             self.recovery_times_s.append(time.perf_counter() - started)
             self.isolated.discard(node)
         elif event.action == "slow":

@@ -17,11 +17,13 @@ member's shelf. Reads scatter one batched ``get_chunks`` to every alive
 member and take the first copy found. Down or unreachable members are
 misses, never errors.
 
-The store speaks to both backends through duck typing: a
-:class:`~repro.kvstore.store.DistributedKVStore` (shelves held here,
-since in-process nodes have no server) or a
-:class:`~repro.rpc.remote_store.RemoteKVStore` (shelves live in each
-:class:`~repro.rpc.server.NodeServer`; this class only routes).
+Placement and membership come from the ring's replica coordinator, with
+either driver. With the in-process
+:class:`~repro.kvstore.store.DistributedKVStore` the shelves are held here
+(in-process nodes have no server); with the asyncio
+:class:`~repro.rpc.remote_store.RemoteKVStore` they live in each
+:class:`~repro.rpc.server.NodeServer` and this class only routes, through
+the driver's payload scatter.
 """
 
 from __future__ import annotations

@@ -7,20 +7,19 @@ so replicas can reconcile with last-write-wins, Cassandra-style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.kvstore.errors import NodeDownError
 
 
-@dataclass(frozen=True)
-class VersionedValue:
+class VersionedValue(NamedTuple):
     """A stored value plus its last-write-wins timestamp.
 
     A *tombstone* records a deletion: it participates in last-write-wins
     reconciliation like any write (so a delete beats older writes even when
     it reaches a replica late, via hints or anti-entropy) but reads treat
-    it as absence.
+    it as absence. Being a tuple, it is its own wire form: both codecs
+    encode it as the ``[value, timestamp, tombstone]`` row.
     """
 
     value: str
@@ -33,6 +32,14 @@ class VersionedValue:
 
 class StorageNode:
     """One member of a KV cluster: a local store with an availability flag.
+
+    Besides the ``local_*`` primitives, the node carries the replica-side
+    operations the coordinator scatters (``multi_get``, ``multi_put``,
+    ``set_down``, ``dump``, ``key_count``, ``merkle_tree``,
+    ``repair_range``, ``fetch_range``). Each takes keyword params and
+    returns a wire-ready value, so the in-process driver calls them
+    directly and :class:`~repro.rpc.server.NodeServer` serves the same
+    functions over TCP.
 
     Args:
         node_id: this member's id.
@@ -109,6 +116,65 @@ class StorageNode:
         """Number of keys stored locally (allowed even while down — this is
         an operator-view metric, not a client request)."""
         return len(self._data)
+
+    # ------------------------------------------------------------------ #
+    # replica operations — data plane (refused while the replica is down)
+    # ------------------------------------------------------------------ #
+
+    def multi_get(self, keys: list[str]) -> dict:
+        self._check_up()
+        return {"entries": {key: self._data.get(key) for key in keys}}
+
+    def multi_put(self, entries: list[list]) -> dict:
+        for key, value, timestamp, tombstone in entries:
+            self.local_put(key, value, int(timestamp), tombstone=bool(tombstone))
+        return {"stored": len(entries)}
+
+    # ------------------------------------------------------------------ #
+    # replica operations — control plane (served while down: operator views
+    # and anti-entropy read the shard directly, so a recovering replica can
+    # still be inspected, compared, and drained)
+    # ------------------------------------------------------------------ #
+
+    def set_down(self, down: bool) -> dict:
+        if down:
+            self.mark_down()
+        else:
+            self.mark_up()
+        return {"node": self.node_id, "up": self._up}
+
+    def dump(self) -> dict:
+        return {"entries": dict(self._data)}
+
+    def merkle_tree(self, depth: int = 6) -> dict:
+        from repro.kvstore.repair import merkle_from_items
+
+        tree = merkle_from_items(
+            ((key, *stored) for key, stored in self._data.items()), int(depth)
+        )
+        return {"depth": tree.depth, "leaves": list(tree.leaves), "root": tree.root}
+
+    def repair_range(self, depth: int, buckets: list[int]) -> dict:
+        from repro.kvstore.repair import _bucket_of
+
+        wanted = set(buckets)
+        return self._rows(lambda key: _bucket_of(key, int(depth)) in wanted)
+
+    def fetch_range(self, ranges: list[list[str]]) -> dict:
+        """Token-range scan — the ring-migration sibling of ``repair_range``.
+
+        Bounds travel as decimal strings: tokens live in [0, 2**127), which
+        overflows msgpack's 64-bit integers.
+        """
+        from repro.kvstore.tokens import key_token
+
+        bounds = [(int(lo), int(hi)) for lo, hi in ranges]
+        return self._rows(lambda key: any(lo <= key_token(key) < hi for lo, hi in bounds))
+
+    def _rows(self, wanted) -> dict:
+        """``[key, value, timestamp, tombstone]`` rows of the keys ``wanted``
+        selects."""
+        return {"entries": [[key, *stored] for key, stored in self._data.items() if wanted(key)]}
 
     def __repr__(self) -> str:
         state = "up" if self._up else "down"

@@ -11,17 +11,42 @@ silently. Cassandra closes the gap with two mechanisms reproduced here:
   diffing entire datasets.
 
 A D2-ring that has been through failures runs ``repair_all`` to restore the
-γ-copies invariant before, e.g., decommissioning a node.
+γ-copies invariant before, e.g., decommissioning a node; a rejoining
+replica runs ``repair_node`` to close whatever its hint window dropped.
+
+:class:`ReplicaRepairer` is written as coordinator steps (see
+:mod:`repro.kvstore.coordinator`), so the same pair sync runs over either
+driver and moves only summaries and dirty buckets:
+
+1. ask two replicas for their fixed-depth Merkle trees (``merkle_tree``);
+2. diff the leaf hashes (:func:`differing_buckets`);
+3. fetch just the mismatching buckets from both sides (``repair_range``);
+4. push each side's strictly-newer rows to the other with ``multi_put``,
+   filtered to keys the receiver is actually responsible for.
+
+Tree building and bucket reads are control-plane replica operations (they
+read the shard directly, like ``dump``), so a replica that is still marked
+down can be *compared*; pushes go through the data plane and therefore
+land in the receiver's WAL.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.kvstore.node import StorageNode, VersionedValue
-from repro.kvstore.store import DistributedKVStore
+from repro.kvstore.coordinator import (
+    ReplicaCoordinator,
+    Step,
+    Steps,
+    _check,
+    _entry,
+    _newest,
+    operation,
+)
+from repro.kvstore.node import StorageNode
 
 
 @dataclass(frozen=True)
@@ -83,14 +108,7 @@ def merkle_from_items(
 
 def build_merkle_tree(node: StorageNode, depth: int = 6) -> MerkleTree:
     """Build the Merkle tree of ``node``'s local data (node must be up)."""
-    return merkle_from_items(
-        (
-            (key, stored.value, stored.timestamp, stored.tombstone)
-            for key in node.local_keys()
-            if (stored := node.local_get(key)) is not None
-        ),
-        depth,
-    )
+    return merkle_from_items(((key, *node.local_get(key)) for key in node.local_keys()), depth)
 
 
 def differing_buckets(a: MerkleTree, b: MerkleTree) -> list[int]:
@@ -111,95 +129,117 @@ class RepairStats:
     buckets_compared: int = 0
     buckets_streamed: int = 0
     pairs_checked: int = 0
-    per_key_details: dict[str, int] = field(default_factory=dict)
 
 
 class ReplicaRepairer:
-    """Read repair and Merkle anti-entropy over a :class:`DistributedKVStore`."""
+    """Read repair and Merkle anti-entropy over either coordinator driver.
 
-    def __init__(self, store: DistributedKVStore, merkle_depth: int = 6) -> None:
+    Args:
+        store: the coordinator whose membership, placement, and driver the
+            repairer reuses (:class:`~repro.kvstore.store.DistributedKVStore`
+            or :class:`~repro.rpc.remote_store.RemoteKVStore`).
+        merkle_depth: tree depth (2**depth buckets).
+    """
+
+    def __init__(self, store: ReplicaCoordinator, merkle_depth: int = 6) -> None:
+        if not 1 <= merkle_depth <= 16:
+            raise ValueError(f"merkle_depth must be in [1, 16], got {merkle_depth!r}")
         self.store = store
         self.merkle_depth = merkle_depth
         self.stats = RepairStats()
+
+    def _run(self, steps: Steps):
+        return self.store._run(steps)  # the store's driver runs the steps
 
     # ------------------------------------------------------------------ #
     # read repair
     # ------------------------------------------------------------------ #
 
-    def read_with_repair(self, key: str, coordinator: Optional[str] = None) -> Optional[str]:
+    def _read_with_repair(self, key: str, coordinator: Optional[str] = None) -> Steps:
         """Read ``key`` from all alive replicas, repair stale ones, return
         the newest value."""
-        replicas = [
-            r for r in self.store.replicas_for(key) if self.store.nodes[r].is_up
-        ]
-        newest: Optional[VersionedValue] = None
-        holders: dict[str, Optional[VersionedValue]] = {}
-        for replica in replicas:
-            found = self.store.nodes[replica].local_get(key)
-            holders[replica] = found
-            if found is not None and found.newer_than(newest):
-                newest = found
-        if newest is None:
-            return None
-        for replica, found in holders.items():
-            if found is None or newest.newer_than(found):
-                self.store.nodes[replica].local_put(
-                    key, newest.value, newest.timestamp, tombstone=newest.tombstone
-                )
-                self.stats.read_repairs += 1
-        return None if newest.tombstone else newest.value
+        alive = set(self.store.alive_nodes())
+        replicas = [r for r in self.store.replicas_for(key) if r in alive]
+        newest, repaired = yield from self.store._read({key: replicas}, coordinator, repair=True)
+        self.stats.read_repairs += repaired
+        best = newest[key]
+        return None if best is None or best.tombstone else best.value
+
+    read_with_repair = operation(_read_with_repair)
 
     # ------------------------------------------------------------------ #
     # anti-entropy
     # ------------------------------------------------------------------ #
 
-    def _sync_pair(self, a: StorageNode, b: StorageNode) -> None:
+    def _sync_pair(self, a: str, b: str) -> Steps:
         """Merkle-diff two replicas and exchange keys in differing buckets."""
-        tree_a = build_merkle_tree(a, self.merkle_depth)
-        tree_b = build_merkle_tree(b, self.merkle_depth)
+        depth = self.merkle_depth
+        trees = _check((yield Step("merkle_tree", {a: {"depth": depth}, b: {"depth": depth}})))
+        tree_a, tree_b = (
+            MerkleTree(depth=int(t["depth"]), leaves=tuple(t["leaves"]), root=t["root"])
+            for t in (trees[a], trees[b])
+        )
         self.stats.pairs_checked += 1
         self.stats.buckets_compared += tree_a.n_buckets
-        dirty = set(differing_buckets(tree_a, tree_b))
+        dirty = differing_buckets(tree_a, tree_b)
         if not dirty:
             return
         self.stats.buckets_streamed += len(dirty)
+        params = {"depth": depth, "buckets": dirty}
+        fetched = _check((yield Step("repair_range", {a: params, b: params})))
+        entries = {
+            node_id: {key: _entry(row) for key, *row in reply["entries"]}
+            for node_id, reply in fetched.items()
+        }
+        pushes: dict[str, list[list]] = {}
         for src, dst in ((a, b), (b, a)):
-            for key in list(src.local_keys()):
-                if _bucket_of(key, self.merkle_depth) not in dirty:
-                    continue
-                stored = src.local_get(key)
-                assert stored is not None
-                existing = dst.local_get(key)
-                if stored.newer_than(existing):
-                    # Only stream keys this replica is actually responsible for.
-                    if dst.node_id in self.store.replicas_for(key):
-                        dst.local_put(
-                            key, stored.value, stored.timestamp, tombstone=stored.tombstone
-                        )
-                        self.stats.synced_keys += 1
+            rows = [
+                [key, *stored]
+                for key, stored in sorted(entries[src].items())
+                # Only stream keys this replica is actually responsible for.
+                if stored.newer_than(entries[dst].get(key))
+                and dst in self.store.replicas_for(key)
+            ]
+            if rows:
+                pushes[dst] = rows
+        yield from self.store._push(pushes)
+        self.stats.synced_keys += sum(len(rows) for rows in pushes.values())
 
-    def repair_all(self) -> RepairStats:
-        """Run anti-entropy between every pair of alive replicas that share
-        responsibility for some range (all-pairs is exact and fine at ring
-        sizes here)."""
-        alive = [self.store.nodes[nid] for nid in self.store.alive_nodes()]
-        for i in range(len(alive)):
-            for j in range(i + 1, len(alive)):
-                self._sync_pair(alive[i], alive[j])
+    def _repair_node(self, node_id: str) -> Steps:
+        """Catch ``node_id`` up: sync it pairwise against every other
+        alive member (the rejoin path after a crash-restart)."""
+        self.store._check_member(node_id)
+        for peer in self.store.alive_nodes():
+            if peer != node_id:
+                yield from self._sync_pair(node_id, peer)
         return self.stats
 
-    def verify_replication(self) -> list[str]:
-        """Keys currently under-replicated on alive nodes (diagnostic)."""
+    repair_node = operation(_repair_node)
+
+    def _repair_all(self) -> Steps:
+        """Run anti-entropy between every pair of alive replicas (all-pairs
+        is exact and fine at ring sizes here)."""
+        for a, b in itertools.combinations(self.store.alive_nodes(), 2):
+            yield from self._sync_pair(a, b)
+        return self.stats
+
+    repair_all = operation(_repair_all)
+
+    def _verify_replication(self) -> Steps:
+        """Keys currently under-replicated on alive nodes (diagnostic;
+        empty once a repair pass has converged the ring)."""
+        shards = yield from self.store._dump(self.store.nodes)
+        newest = _newest(row for shard in shards.values() for row in shard.items())
+        alive = set(self.store.alive_nodes())
         missing: list[str] = []
-        for key in self.store.unique_keys():
-            alive_replicas = [
-                r
+        for key, stored in sorted(newest.items()):
+            # Live, yet some alive replica lacks a live copy.
+            if not stored.tombstone and any(
+                (found := shards[r].get(key)) is None or found.tombstone
                 for r in self.store.replicas_for(key)
-                if self.store.nodes[r].is_up
-            ]
-            holders = [
-                r for r in alive_replicas if self.store.nodes[r].local_contains(key)
-            ]
-            if len(holders) < len(alive_replicas):
+                if r in alive
+            ):
                 missing.append(key)
         return missing
+
+    verify_replication = operation(_verify_replication)

@@ -1,15 +1,16 @@
 """Live asyncio transport for D2-rings.
 
-The in-process :class:`~repro.kvstore.store.DistributedKVStore` models a
-ring's index analytically; this package runs it for real: each member's
+The replica coordinator (:mod:`repro.kvstore.coordinator`) is written
+once; :class:`~repro.kvstore.store.DistributedKVStore` drives it over
+in-process nodes, and this package drives it for real: each member's
 :class:`~repro.kvstore.node.StorageNode` shard behind a TCP
 :class:`~repro.rpc.server.NodeServer`, a multiplexing
 :class:`~repro.rpc.client.RpcClient` with per-call timeouts and bounded
-jittered retries, and a :class:`~repro.rpc.remote_store.RemoteKVStore`
-coordinator that keeps the in-process store's exact operation surface and
-accounting. :class:`~repro.rpc.faults.FaultInjector` makes drops, delays,
-duplicates, and partitions injectable per node pair, so the robustness
-story is testable from day one. Boot everything with
+jittered retries, and :class:`~repro.rpc.remote_store.RemoteKVStore`, the
+asyncio driver that runs each coordinator operation's steps as RPCs.
+:class:`~repro.rpc.faults.FaultInjector` makes drops, delays, duplicates,
+and partitions injectable per node pair, so the robustness story is
+testable from day one. Boot everything with
 :class:`~repro.rpc.cluster.LiveKVCluster`, or set
 ``EFDedupConfig(transport="asyncio")`` and let :class:`~repro.system.ring.D2Ring`
 do it.
@@ -29,7 +30,6 @@ from repro.rpc.framing import available_codecs, default_codec_name, get_codec
 from repro.rpc.heartbeat import HeartbeatService
 from repro.rpc.messages import Request, Response
 from repro.rpc.remote_store import RemoteKVStore
-from repro.rpc.repair import RemoteReplicaRepairer
 from repro.rpc.retry import RetryPolicy
 from repro.rpc.server import NodeServer, ServerStats
 
@@ -44,7 +44,6 @@ __all__ = [
     "NodeServer",
     "RemoteCallError",
     "RemoteKVStore",
-    "RemoteReplicaRepairer",
     "Request",
     "Response",
     "RetryPolicy",

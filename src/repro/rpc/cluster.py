@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Union
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.gossip import PhiAccrualDetector
 from repro.kvstore.node import StorageNode
+from repro.kvstore.repair import ReplicaRepairer
 from repro.kvstore.wal import WriteAheadLog
 from repro.obs.trace import Tracer
 from repro.rpc.client import RpcClient
@@ -226,6 +227,13 @@ class LiveKVCluster:
         self.wals[node_id] = wal
         return wal
 
+    def _stop_member(self, node_id: str, server: NodeServer) -> None:
+        """Stop one member's server and close its WAL (the files stay)."""
+        self._run(server.stop())
+        wal = self.wals.pop(node_id, None)
+        if wal is not None:
+            wal.close()
+
     @property
     def node_ids(self) -> list[str]:
         return list(self.servers)
@@ -257,10 +265,7 @@ class LiveKVCluster:
         if node_id in self._killed:
             return
         self._killed.add(node_id)
-        self._run(self.servers[node_id].stop())
-        wal = self.wals.pop(node_id, None)
-        if wal is not None:
-            wal.close()
+        self._stop_member(node_id, self.servers[node_id])
         if mark_down:
             self.store.mark_down(node_id)
 
@@ -283,9 +288,7 @@ class LiveKVCluster:
         self._killed.discard(node_id)
         self.store.mark_up(node_id)
         if repair:
-            from repro.rpc.repair import RemoteReplicaRepairer
-
-            RemoteReplicaRepairer(self.store).repair_node(node_id)
+            ReplicaRepairer(self.store).repair_node(node_id)
 
     # ------------------------------------------------------------------ #
     # live membership (ring-migration support)
@@ -306,10 +309,7 @@ class LiveKVCluster:
         except BaseException:
             # Roll back the half-joined server: membership stays as it was.
             del self.servers[node_id]
-            self._run(server.stop())
-            wal = self.wals.pop(node_id, None)
-            if wal is not None:
-                wal.close()
+            self._stop_member(node_id, server)
             self._run(self.client.forget_node(node_id))
             raise
 
@@ -320,11 +320,7 @@ class LiveKVCluster:
         if node_id not in self.servers:
             raise KeyError(f"unknown node {node_id!r}")
         self.store.remove_node(node_id)
-        server = self.servers.pop(node_id)
-        self._run(server.stop())
-        wal = self.wals.pop(node_id, None)
-        if wal is not None:
-            wal.close()
+        self._stop_member(node_id, self.servers.pop(node_id))
         self._run(self.client.forget_node(node_id))
         self._killed.discard(node_id)
 

@@ -21,13 +21,11 @@ loop — because the sweep calls the store's synchronous facade
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import Optional
 
 from repro.kvstore.gossip import HeartbeatMonitor, PhiAccrualDetector
-from repro.rpc.errors import RpcError
 from repro.rpc.remote_store import RemoteKVStore
 
 
@@ -106,21 +104,11 @@ class HeartbeatService:
     def poll_once(self, now: Optional[float] = None) -> list[tuple[float, str, str]]:
         """Ping every member, feed the detector, sweep. Returns the
         monitor's cumulative (time, node, state) transition log."""
-        node_ids = list(self.store.nodes)
-
-        async def ping_round():
-            return await asyncio.gather(
-                *(self.store._client.call(n, "ping") for n in node_ids),
-                return_exceptions=True,
-            )
-
-        results = self.store._sync(ping_round())
+        results = self.store._scatter("ping", {n: {} for n in self.store.nodes})
         if now is None:
             now = time.monotonic()
-        for node_id, result in zip(node_ids, results):
-            if isinstance(result, BaseException):
-                if not isinstance(result, RpcError):
-                    raise result
+        for node_id, result in results.items():
+            if isinstance(result, Exception):  # unreachable: no evidence
                 self.ping_failures += 1
                 continue
             self.pings += 1

@@ -4,11 +4,12 @@ Each edge node of a live D2-ring runs one :class:`NodeServer` on
 127.0.0.1 (port assigned by the OS). The server speaks the framed
 request/response protocol of :mod:`repro.rpc.framing` /
 :mod:`repro.rpc.messages` and exposes the *replica-local* operation
-surface — batched gets and puts against the node's
-:class:`~repro.kvstore.node.StorageNode` shard. Coordination (replica
-placement, consistency, hint buffering, last-write-wins merges) stays
-client-side in :class:`~repro.rpc.remote_store.RemoteKVStore`, exactly
-where :class:`~repro.kvstore.store.DistributedKVStore` keeps it.
+surface by calling the :class:`~repro.kvstore.node.StorageNode` method of
+the same name (``multi_get``, ``multi_put``, ``dump``, ...) — the very
+functions the in-process driver calls directly. Coordination (replica
+placement, consistency, hint buffering, last-write-wins merges) lives once
+in :mod:`repro.kvstore.coordinator`, driven over the wire by
+:class:`~repro.rpc.remote_store.RemoteKVStore`.
 
 Two server-side behaviors make retries safe:
 
@@ -46,9 +47,12 @@ Responses from workers may complete out of submission order; that is safe
 not, so each connection serializes writes behind a lock.
 
 Wire value encoding: a stored entry travels as ``[value, timestamp,
-tombstone]``; ``multi_put`` takes ``[key, value, timestamp, tombstone]``
-rows. Fingerprints and metadata are strings, so both codecs round-trip
-them losslessly.
+tombstone]`` (a :class:`~repro.kvstore.node.VersionedValue` is that
+tuple); ``multi_put`` takes ``[key, value, timestamp, tombstone]`` rows.
+Fingerprints and metadata are strings, so both codecs round-trip them
+losslessly. Any exception a handler raises is answered as a failure
+response (the client raises it as a typed error on the first attempt), so
+a storage fault never masquerades as a network fault.
 """
 
 from __future__ import annotations
@@ -60,9 +64,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.kvstore.errors import KVStoreError, NodeDownError
 from repro.kvstore.node import StorageNode
-from repro.kvstore.repair import _bucket_of, merkle_from_items
 from repro.obs.histogram import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
@@ -97,12 +99,6 @@ class ServerStats:
             "server.deadline_drops": self.deadline_drops,
             "server.by_method": dict(self.by_method),
         }
-
-
-def _entry_to_wire(stored) -> Optional[list]:
-    if stored is None:
-        return None
-    return [stored.value, stored.timestamp, stored.tombstone]
 
 
 class NodeServer:
@@ -291,8 +287,9 @@ class NodeServer:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                # A wedged response write must not kill the drain loop.
-                pass
+                # A wedged response write must not kill the drain loop, but
+                # it must not vanish either.
+                self.stats.errors += 1
             finally:
                 self._depth -= 1
                 self._queue.task_done()
@@ -368,12 +365,19 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["replay"] = True
             return cached
-        handler = self._HANDLERS.get(request.method)
+        method = request.method
         try:
-            if handler is None:
-                raise FrameError(f"unknown method {request.method!r}")
-            response = Response.success(request.msg_id, handler(self, request.params))
-        except (KVStoreError, ValueError, TypeError, KeyError) as exc:
+            if method in self._NODE_OPS:
+                result = getattr(self.node, method)(**request.params)
+            elif method in self._HANDLERS:
+                result = self._HANDLERS[method](self, request.params)
+            else:
+                raise FrameError(f"unknown method {method!r}")
+            response = Response.success(request.msg_id, result)
+        except Exception as exc:
+            # Every handler failure is an answer, not a dropped connection:
+            # a storage fault (say, a failing WAL append) must reach the
+            # caller as a RemoteCallError, never pass for a network fault.
             self.stats.errors += 1
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
@@ -384,30 +388,18 @@ class NodeServer:
         return response
 
     # ------------------------------------------------------------------ #
-    # operations — data plane (refused while the replica is down)
+    # operations — served by the server itself
     # ------------------------------------------------------------------ #
 
     def _op_ping(self, params: dict) -> dict:
         return {"node": self.node_id, "up": self.node.is_up}
 
-    def _op_multi_get(self, params: dict) -> dict:
-        keys = params["keys"]
-        # local_get raises NodeDownError when the replica is down.
-        return {"entries": {key: _entry_to_wire(self.node.local_get(key)) for key in keys}}
-
-    def _op_multi_put(self, params: dict) -> dict:
-        entries = params["entries"]
-        for key, value, timestamp, tombstone in entries:
-            self.node.local_put(key, value, int(timestamp), tombstone=bool(tombstone))
-        return {"stored": len(entries)}
+    def _op_stats(self, params: dict) -> dict:
+        return self.stats.snapshot()
 
     # ------------------------------------------------------------------ #
     # operations — chunk payloads (content plane)
     # ------------------------------------------------------------------ #
-
-    def _require_up(self) -> None:
-        if not self.node.is_up:
-            raise NodeDownError(f"node {self.node_id!r} is down")
 
     def _op_put_chunks(self, params: dict) -> dict:
         """Batched payload writes: ``entries`` is [[fingerprint, b64], ...].
@@ -415,7 +407,7 @@ class NodeServer:
         Payloads travel base64-encoded so both codecs (JSON has no bytes
         type) round-trip them losslessly.
         """
-        self._require_up()
+        self.node._check_up()
         stored = 0
         stored_bytes = 0
         for fingerprint, encoded in params["entries"]:
@@ -432,7 +424,7 @@ class NodeServer:
     def _op_get_chunks(self, params: dict) -> dict:
         """Batched payload reads; a missing fingerprint maps to None (the
         caller treats it as a cache miss, not an error)."""
-        self._require_up()
+        self.node._check_up()
         out: dict[str, Optional[str]] = {}
         for fingerprint in params["fingerprints"]:
             data = self.chunks.get(fingerprint)
@@ -440,7 +432,7 @@ class NodeServer:
         return {"chunks": out}
 
     def _op_delete_chunks(self, params: dict) -> dict:
-        self._require_up()
+        self.node._check_up()
         deleted = 0
         freed = 0
         for fingerprint in params["fingerprints"]:
@@ -464,85 +456,28 @@ class NodeServer:
             }
         }
 
-    # ------------------------------------------------------------------ #
-    # operations — control plane (always served)
-    # ------------------------------------------------------------------ #
-
-    def _op_set_down(self, params: dict) -> dict:
-        if params["down"]:
-            self.node.mark_down()
-        else:
-            self.node.mark_up()
-        return {"node": self.node_id, "up": self.node.is_up}
-
-    def _op_dump(self, params: dict) -> dict:
-        # Operator view: reads the shard directly, works while down
-        # (mirrors DistributedKVStore.unique_keys() reading node._data).
-        return {
-            "entries": {key: _entry_to_wire(stored) for key, stored in self.node._data.items()}
-        }
-
-    def _op_key_count(self, params: dict) -> dict:
-        return {"count": len(self.node._data)}
-
-    def _op_stats(self, params: dict) -> dict:
-        return self.stats.snapshot()
-
-    def _op_merkle_tree(self, params: dict) -> dict:
-        # Anti-entropy is an operator flow like dump: it reads the shard
-        # directly so a recovering (still-down) replica can be compared.
-        depth = int(params.get("depth", 6))
-        tree = merkle_from_items(
-            (
-                (key, stored.value, stored.timestamp, stored.tombstone)
-                for key, stored in self.node._data.items()
-            ),
-            depth,
-        )
-        return {"depth": tree.depth, "leaves": list(tree.leaves), "root": tree.root}
-
-    def _op_repair_range(self, params: dict) -> dict:
-        depth = int(params["depth"])
-        buckets = set(params["buckets"])
-        entries = [
-            [key, stored.value, stored.timestamp, stored.tombstone]
-            for key, stored in self.node._data.items()
-            if _bucket_of(key, depth) in buckets
-        ]
-        return {"entries": entries}
-
-    def _op_fetch_range(self, params: dict) -> dict:
-        """Token-range scan — the ring-migration sibling of ``repair_range``.
-
-        Bounds travel as decimal strings: tokens live in [0, 2**127), which
-        overflows msgpack's 64-bit integers. Reads the shard directly
-        (operator flow like ``dump``), so a down replica can still be
-        drained.
-        """
-        from repro.kvstore.tokens import key_token
-
-        ranges = [(int(lo), int(hi)) for lo, hi in params["ranges"]]
-        entries = []
-        for key, stored in self.node._data.items():
-            token = key_token(key)
-            if any(lo <= token < hi for lo, hi in ranges):
-                entries.append([key, stored.value, stored.timestamp, stored.tombstone])
-        return {"entries": entries}
-
     _HANDLERS = {
         "ping": _op_ping,
-        "multi_get": _op_multi_get,
-        "multi_put": _op_multi_put,
         "put_chunks": _op_put_chunks,
         "get_chunks": _op_get_chunks,
         "delete_chunks": _op_delete_chunks,
         "chunk_keys": _op_chunk_keys,
         "chunk_dump": _op_chunk_dump,
-        "set_down": _op_set_down,
-        "dump": _op_dump,
-        "key_count": _op_key_count,
         "stats": _op_stats,
-        "merkle_tree": _op_merkle_tree,
-        "repair_range": _op_repair_range,
-        "fetch_range": _op_fetch_range,
     }
+
+    # Replica operations the coordinator scatters: served by calling the
+    # StorageNode method of the same name, exactly as the in-process driver
+    # does (data-plane ops refuse while the replica is down).
+    _NODE_OPS = frozenset(
+        {
+            "multi_get",
+            "multi_put",
+            "set_down",
+            "dump",
+            "key_count",
+            "merkle_tree",
+            "repair_range",
+            "fetch_range",
+        }
+    )

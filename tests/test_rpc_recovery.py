@@ -7,11 +7,11 @@ import pytest
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import UnavailableError
 from repro.kvstore.gossip import PhiAccrualDetector
+from repro.kvstore.repair import ReplicaRepairer
 from repro.rpc import (
     FaultInjector,
     HeartbeatService,
     LiveKVCluster,
-    RemoteReplicaRepairer,
     RetryPolicy,
     RpcError,
     RpcTimeoutError,
@@ -53,7 +53,7 @@ class TestCrashRestartLifecycle:
             # No WAL, no hints (writes predate the crash): the shard is empty
             # and verify_replication sees every key under-replicated.
             assert cluster.servers[victim].node._data == {}
-            repairer = RemoteReplicaRepairer(store)
+            repairer = ReplicaRepairer(store)
             assert repairer.verify_replication()
             repairer.repair_node(victim)
             assert repairer.verify_replication() == []
@@ -156,12 +156,12 @@ class TestRemoteAntiEntropy:
             shard = cluster.servers["n0"].node._data
             for k in list(shard)[:5]:
                 del shard[k]
-            repairer = RemoteReplicaRepairer(store)
+            repairer = ReplicaRepairer(store)
             first = repairer.repair_all()
             assert first.synced_keys >= 5
-            second = RemoteReplicaRepairer(store).repair_all()
+            second = ReplicaRepairer(store).repair_all()
             assert second.synced_keys == 0
-            assert RemoteReplicaRepairer(store).verify_replication() == []
+            assert ReplicaRepairer(store).verify_replication() == []
 
     def test_newest_value_wins_across_the_wire(self):
         with live_cluster() as cluster:
@@ -172,7 +172,7 @@ class TestRemoteAntiEntropy:
                 if "k" in cluster.servers[nid].node._data
             ]
             cluster.servers[holders[0]].node.local_put("k", "newer", 10**15)
-            RemoteReplicaRepairer(store).repair_all()
+            ReplicaRepairer(store).repair_all()
             for nid in holders:
                 assert cluster.servers[nid].node.local_get("k").value == "newer"
 
@@ -182,10 +182,10 @@ class TestRemoteAntiEntropy:
             for i in range(10):
                 store.put(f"k{i}", "v")
             store.mark_down("n1")
-            stats = RemoteReplicaRepairer(store).repair_all()
+            stats = ReplicaRepairer(store).repair_all()
             assert stats.pairs_checked > 0  # alive pairs still compared
             # verify_replication only audits alive replicas.
-            assert RemoteReplicaRepairer(store).verify_replication() == []
+            assert ReplicaRepairer(store).verify_replication() == []
 
 
 class TestHeartbeatDetection:

@@ -12,6 +12,7 @@ from repro.kvstore.store import DistributedKVStore
 from repro.rpc import (
     FaultInjector,
     LiveKVCluster,
+    RemoteCallError,
     RetryPolicy,
     RpcTimeoutError,
 )
@@ -331,3 +332,34 @@ class TestClusterLifecycle:
             cluster.store.put_if_absent_many(["a", "b"], "m", coordinator="n0")
             stats = cluster.server_stats()
             assert sum(s["server.requests"] for s in stats.values()) > 0
+
+
+class TestHandlerFaults:
+    """A replica-side exception outside the kv-store lineage (a storage or
+    WAL fault) must come back as an error response on the first attempt,
+    on the inline path and through the admission queue alike — not drop
+    the connection and pass for a network fault that drives retries, hints
+    and breaker failures."""
+
+    @pytest.mark.parametrize("admission_queue", [0, 8])
+    def test_storage_fault_is_a_remote_error_not_a_network_fault(
+        self, admission_queue
+    ):
+        with live_cluster(admission_queue=admission_queue, retry=FAST_RETRY) as cluster:
+            server = cluster.servers["n0"]
+
+            def failing_multi_get(**params):
+                raise RuntimeError("injected storage fault")
+
+            server.node.multi_get = failing_multi_get
+            with pytest.raises(RemoteCallError, match="RuntimeError"):
+                cluster.store._sync(
+                    cluster.client.call("n0", "multi_get", {"keys": ["k"]})
+                )
+            assert cluster.client.stats.retries == 0
+            assert cluster.client.stats.connection_errors == 0
+            assert cluster.client.stats.timeouts == 0
+            assert server.stats.errors == 1
+            # The connection survived: the next call on it is served.
+            del server.node.multi_get
+            assert cluster.store.get("k", coordinator="n0") is None
