@@ -7,7 +7,7 @@ Two entry points:
   (admission control, breakers, brownout, reconciliation) holds together
   at benchmark scale;
 - as a script (``python benchmarks/bench_overload.py``) it runs the full
-  :func:`repro.chaos.run_overload_scenario` — an at-knee reference step,
+  ``repro.chaos.run_scenario("overload")`` — an at-knee reference step,
   then a 2x-knee step under a fleet-wide gray slowdown while the ring's
   own agents ingest through the shedding index — and writes
   ``BENCH_overload.json`` at the repo root. The script exits nonzero
@@ -29,34 +29,33 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.chaos import run_overload_scenario
+from repro.chaos import run_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_overload(quick: bool, seed: int) -> dict:
-    report = run_overload_scenario(
+    report = run_scenario(
+        "overload",
         seed=seed,
         duration_s=0.3 if quick else 0.6,
         files_per_node=3 if quick else 4,
     )
-    knee, over = report.knee_step, report.overload_step
+    m = report.metrics
+    for label, rps, step in (
+        ("knee  ", m["knee_rps"], report.detail["knee_step"]),
+        ("beyond", m["overload_rps"], report.detail["overload_step"]),
+    ):
+        print(
+            f"{label} @ {rps:7.0f} req/s: "
+            f"completed={step['completed']} shed={step['shed']} "
+            f"failed={step['failed']} p99={step['latency_p99_s'] * 1e3:7.2f}ms"
+        )
     print(
-        f"knee   @ {report.knee_rps:7.0f} req/s: "
-        f"completed={knee.completed} shed={knee.shed} "
-        f"failed={knee.failed} p99={knee.p99_s * 1e3:7.2f}ms"
-    )
-    print(
-        f"beyond @ {report.overload_rps:7.0f} req/s: "
-        f"completed={over.completed} shed={over.shed} "
-        f"failed={over.failed} p99={over.p99_s * 1e3:7.2f}ms "
-        f"(shed fraction {report.shed_fraction:.2f})"
-    )
-    b = report.brownout
-    print(
-        f"brownout: trips={b.get('brownout.trips', 0)} "
-        f"journaled={b.get('brownout.journaled', 0)} "
-        f"corrected={b.get('brownout.corrected_chunks', 0)}  "
+        f"shed fraction {m['shed_fraction']:.2f}  "
+        f"brownout: trips={m.get('brownout.trips', 0):.0f} "
+        f"journaled={m.get('brownout.journaled', 0):.0f} "
+        f"corrected={m.get('brownout.corrected_chunks', 0):.0f}  "
         f"ratio={report.dedup_ratio:.6f} "
         f"baseline={report.baseline_ratio:.6f}"
     )
@@ -72,9 +71,9 @@ def check_gates(report: dict) -> list[str]:
         if not ok:
             failures.append(f"check failed: {name}")
     failures.extend(report.get("violations", []))
-    if report.get("shed_fraction", 0.0) <= 0.0:
+    if report.get("metrics", {}).get("shed_fraction", 0.0) <= 0.0:
         failures.append("no work shed beyond the knee")
-    if not report.get("ratio_matches_baseline", False):
+    if not report.get("checks", {}).get("ratio_matches_baseline", False):
         failures.append(
             f"reconciled ratio {report.get('dedup_ratio')} != unloaded "
             f"baseline {report.get('baseline_ratio')}"
@@ -115,14 +114,14 @@ def main() -> None:
 
 def test_overload_scenario_quick(benchmark):
     def one_run():
-        return run_overload_scenario(
-            seed=7, duration_s=0.3, files_per_node=3
+        return run_scenario(
+            "overload", seed=7, duration_s=0.3, files_per_node=3
         )
 
     report = benchmark.pedantic(one_run, rounds=1, iterations=1)
     assert report.passed, report.violations
-    assert report.overload_step.shed > 0
-    assert report.ratio_matches_baseline
+    assert report.detail["overload_step"]["shed"] > 0
+    assert report.checks["ratio_matches_baseline"]
 
 
 if __name__ == "__main__":

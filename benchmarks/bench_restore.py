@@ -31,12 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
-from repro.core.costs import SNOD2Problem
-from repro.core.model import ChunkPoolModel, grouped_sources
-from repro.network.costmatrix import latency_cost_matrix
-from repro.network.topology import build_testbed
-from repro.system.cluster import DurableEFDedupCluster
+from repro.chaos import demo_cluster, round_robin, seeded_pool_workload
 from repro.system.config import EFDedupConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,20 +43,6 @@ QUICK_DEGRADED_FLOOR_MB_S = 0.5
 
 
 def _build_cluster(nodes: int, gamma: int, k: int, m: int, journal_dir: str):
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topo = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topo),
-        duration=2.0,
-        gamma=gamma,
-        alpha=50.0,
-    )
     config = EFDedupConfig(
         chunk_size=4096,
         replication_factor=gamma,
@@ -72,12 +53,9 @@ def _build_cluster(nodes: int, gamma: int, k: int, m: int, journal_dir: str):
         ec_data_shards=k,
         ec_parity_shards=m,
     )
-    cluster = DurableEFDedupCluster(
-        topo, problem, config=config, journal_dir=journal_dir
+    return demo_cluster(
+        nodes, [list(range(nodes))], config, journal_dir=journal_dir
     )
-    cluster.partition = [list(range(nodes))]
-    cluster.deploy()
-    return cluster
 
 
 def _timed_restore_pass(cluster, files: dict[str, bytes]) -> tuple[float, int]:
@@ -109,7 +87,7 @@ def run(
             doomed: list[str] = []
             t0 = time.perf_counter()
             for tag, seg_seed in (("hot", seed), ("cold", seed + 1)):
-                schedule = _round_robin(
+                schedule = round_robin(
                     seeded_pool_workload(
                         nodes, files_per_node, file_kb, seed=seg_seed
                     )
@@ -233,10 +211,13 @@ def main() -> None:
 
 
 def test_restore_under_zone_failure(benchmark):
-    from repro.chaos import run_restore_scenario
+    from repro.chaos import run_scenario
 
     def one_run():
-        return run_restore_scenario(nodes=3, files_per_node=2, file_kb=16, seed=7)
+        return run_scenario(
+            "restore-under-zone-failure",
+            nodes=3, files_per_node=2, file_kb=16, seed=7,
+        )
 
     report = benchmark.pedantic(one_run, rounds=1, iterations=1)
     assert report.passed

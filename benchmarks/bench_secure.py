@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 from statistics import median
 
-from repro.chaos import run_hotindex_scenario
+from repro.chaos import demo_cluster, round_robin, run_scenario, seeded_pool_workload
 from repro.secure import HotIndexManager, SecureCloudIndex, encrypt_convergent
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,31 +102,11 @@ def bench_hot_latency(
 
 def bench_crypto_overhead(files_per_node: int, file_kb: int, seed: int) -> dict:
     """End-to-end ingest MB/s, plain vs secure cluster, plus raw seal rate."""
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.network.topology import build_testbed
-    from repro.system.cluster import DurableEFDedupCluster
     from repro.system.config import EFDedupConfig
 
     nodes = 4
     results = {}
     for mode in ("plain", "secure"):
-        model = ChunkPoolModel(
-            [150.0, 150.0],
-            grouped_sources(
-                [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-            ),
-        )
-        topo = build_testbed(nodes, 3)
-        problem = SNOD2Problem(
-            model=model,
-            nu=latency_cost_matrix(topo),
-            duration=2.0,
-            gamma=2,
-            alpha=50.0,
-        )
         config = EFDedupConfig(
             chunk_size=4096,
             replication_factor=2,
@@ -134,11 +114,8 @@ def bench_crypto_overhead(files_per_node: int, file_kb: int, seed: int) -> dict:
             secure=(mode == "secure"),
             hot_index_size=64 if mode == "secure" else 0,
         )
-        cluster = DurableEFDedupCluster(topo, problem, config=config)
-        cluster.partition = [[0, 1], [2, 3]]
-        cluster.deploy()
-        try:
-            schedule = _round_robin(
+        with demo_cluster(nodes, [[0, 1], [2, 3]], config) as cluster:
+            schedule = round_robin(
                 seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed)
             )
             total_mb = sum(len(d) for _, d in schedule) / 1e6
@@ -147,8 +124,6 @@ def bench_crypto_overhead(files_per_node: int, file_kb: int, seed: int) -> dict:
                 cluster.ingest_file(nid, f"f-{i}", data)
             elapsed = time.perf_counter() - t0
             results[mode] = {"mb": total_mb, "s": elapsed, "mb_s": total_mb / elapsed}
-        finally:
-            cluster.shutdown()
 
     # Raw seal throughput: keystream derivation + XOR, no cluster around it.
     rng = random.Random(seed)
@@ -183,13 +158,15 @@ def run_secure(quick: bool, seed: int) -> dict:
         wan_rtt_ms=0.2 if quick else 1.0,
         seed=seed,
     )
-    scenario = run_hotindex_scenario(seed=seed, skip_baseline=False)
+    scenario = run_scenario("hot-index", seed=seed)
+    m = scenario.metrics
     print(
-        f"scenario: state={scenario.state} edge_hits={scenario.edge_hits} "
-        f"delta={scenario.entries_restreamed} "
+        f"scenario: state={m['secure.hotindex.state']:.0f} "
+        f"edge_hits={m['secure.hotindex.edge_hits']:.0f} "
+        f"delta={m['secure.hotindex.entries_restreamed']:.0f} "
         f"ratio={scenario.dedup_ratio:.6f} "
         f"baseline={scenario.baseline_ratio:.6f} "
-        f"match={scenario.ratio_matches_baseline}"
+        f"match={scenario.checks['ratio_matches_baseline']}"
     )
     crypto = bench_crypto_overhead(
         files_per_node=2 if quick else 4,
@@ -219,7 +196,7 @@ def check_gates(report: dict) -> list[str]:
     if lat["edge_hot"]["edge_hits"] <= 0:
         failures.append("no lookup was answered by the edge hot index")
     scenario = report["scenario"]
-    if not scenario["ratio_matches_baseline"]:
+    if not scenario["checks"].get("ratio_matches_baseline", False):
         failures.append(
             f"post-migration ratio {scenario['dedup_ratio']} != "
             f"migration-free baseline {scenario['baseline_ratio']}"

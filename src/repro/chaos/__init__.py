@@ -1,63 +1,48 @@
 """Chaos harness: seeded fault scenarios against live D2-rings.
 
-Jepsen-style testing scaled to this repo: a
-:class:`~repro.chaos.scenarios.ChaosScenario` declares *what* breaks and
-*when* (as fractions of ingest progress, so runs are deterministic for a
-given seed), :func:`~repro.chaos.runner.run_scenario` drives a real
-asyncio ring through the schedule while deduplicating a seeded workload,
-and :func:`~repro.chaos.invariants.check_invariants` verifies afterwards
-that no unique chunk was lost, dedup accounting is conserved, and the
-replicas converged. Exposed as ``repro chaos`` on the CLI and measured by
-``benchmarks/bench_chaos_recovery.py``.
+Jepsen-style testing scaled to this repo. :data:`~repro.chaos.runner.SCENARIOS`
+registers nine scenarios: five ring scenarios, each a
+:class:`~repro.chaos.scenarios.ChaosScenario` that declares *what* breaks
+and *when* (as fractions of ingest progress, so runs are deterministic
+for a given seed), and four protocol scenarios
+(:mod:`repro.chaos.protocols`) that stress live migration, the restore
+ladder, overload and hot-index migration. :func:`~repro.chaos.runner.run_scenario`
+runs any of them — or a custom fault schedule — and returns one
+:class:`~repro.chaos.report.ChaosReport`: named checks, violations, the
+dedup ratio against the scenario's fault-free baseline, and metrics.
+:func:`~repro.chaos.invariants.check_invariants` records the shared ring
+safety invariants: no unique chunk lost, dedup accounting conserved,
+replicas converged. Exposed as ``repro chaos`` on the CLI.
 """
 
-from repro.chaos.hotindex_scenario import (
-    HotIndexChaosReport,
-    run_hotindex_scenario,
-)
-from repro.chaos.invariants import InvariantReport, check_invariants
-from repro.chaos.migration_scenario import (
-    MigrationChaosReport,
-    run_migration_scenario,
-)
-from repro.chaos.overload_scenario import OverloadReport, run_overload_scenario
-from repro.chaos.restore_scenario import (
-    RestoreChaosReport,
-    run_restore_scenario,
-)
-from repro.chaos.runner import ChaosReport, run_scenario, seeded_pool_workload
+from repro.chaos.invariants import check_invariants
+from repro.chaos.report import ChaosReport
+from repro.chaos.runner import SCENARIOS, run_scenario
 from repro.chaos.scenarios import (
-    SCENARIOS,
+    FAULT_SCHEDULES,
     ChaosScenario,
     FaultEvent,
     crash_restart,
     flapping,
-    get_scenario,
     partition_heal,
     rolling_restart,
     slow_node,
 )
+from repro.chaos.workload import demo_cluster, round_robin, seeded_pool_workload
 
 __all__ = [
     "ChaosReport",
     "ChaosScenario",
+    "FAULT_SCHEDULES",
     "FaultEvent",
-    "HotIndexChaosReport",
-    "InvariantReport",
-    "MigrationChaosReport",
-    "OverloadReport",
-    "RestoreChaosReport",
     "SCENARIOS",
     "check_invariants",
     "crash_restart",
+    "demo_cluster",
     "flapping",
-    "get_scenario",
     "partition_heal",
     "rolling_restart",
-    "run_hotindex_scenario",
-    "run_migration_scenario",
-    "run_overload_scenario",
-    "run_restore_scenario",
+    "round_robin",
     "run_scenario",
     "seeded_pool_workload",
     "slow_node",

@@ -4,13 +4,16 @@ The checks encode what "survived the chaos" means for a dedup system:
 
 - **claims conserved** — every raw chunk was classified exactly once:
   ``raw = unique + duplicate``, for counts and bytes;
-- **uploads match claims** — every unique claim produced exactly one cloud
-  upload (re-uploads after lost index state show up as redundant traffic,
-  which is a cost, not a safety violation — but *missing* uploads are);
-- **no unique chunk lost** — the ring index's key set and the cloud's
-  stored fingerprint set are identical: an index claim without cloud bytes
-  would break restore, a cloud chunk without an index entry means dedup
-  state was silently dropped;
+- **uploads match claims** — the cloud received exactly one upload per
+  unique claim, plus one per chunk a brownout wrote through and later
+  corrected to duplicate (re-uploads after lost index state are a cost,
+  not a safety violation — but *missing* or unexplained uploads are);
+- **no unique chunk lost** — the ring index's fingerprints and the
+  cloud's stored fingerprint set are identical: an index claim without
+  cloud bytes would break restore, a cloud chunk without an index entry
+  means dedup state was silently dropped. Synthetic load-generator keys
+  (:data:`repro.loadgen.workload.KEY_PREFIX`) are claims, not chunks, and
+  are left out;
 - **replicas converged** — after heal + repair, no key is under-replicated
   on alive nodes and a fresh anti-entropy pass streams zero keys.
 
@@ -20,71 +23,49 @@ runs its Merkle pair sync through whichever coordinator driver the ring uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.chaos.report import ChaosReport
 from repro.kvstore.repair import ReplicaRepairer
+from repro.loadgen.workload import KEY_PREFIX
 from repro.system.ring import D2Ring
 
 
-@dataclass
-class InvariantReport:
-    """Outcome of one invariant sweep."""
-
-    checks: dict[str, bool] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def _record(self, name: str, ok: bool, detail: str) -> None:
-        self.checks[name] = ok
-        if not ok:
-            self.violations.append(f"{name}: {detail}")
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": dict(self.checks),
-            "violations": list(self.violations),
-        }
-
-
-def check_invariants(ring: D2Ring) -> InvariantReport:
-    """Verify the post-heal safety invariants of ``ring``.
+def check_invariants(ring: D2Ring, report: ChaosReport) -> None:
+    """Record the post-heal safety invariants of ``ring`` into ``report``.
 
     Call after every injected fault has healed (all members up); the
     convergence check runs its own anti-entropy pass first, so the caller
     does not need to repair beforehand.
     """
-    report = InvariantReport()
     stats = ring.combined_stats()
     cloud = ring.cloud
 
-    report._record(
+    report.record(
         "chunk_claims_conserved",
         stats.raw_chunks == stats.unique_chunks + stats.duplicate_chunks,
         f"raw={stats.raw_chunks} != unique={stats.unique_chunks} "
         f"+ duplicate={stats.duplicate_chunks}",
     )
-    report._record(
+    report.record(
         "byte_claims_conserved",
         stats.unique_bytes <= stats.raw_bytes and stats.lookups == stats.raw_chunks,
         f"unique_bytes={stats.unique_bytes} > raw_bytes={stats.raw_bytes} "
         f"or lookups={stats.lookups} != raw_chunks={stats.raw_chunks}",
     )
-    report._record(
+    corrected = ring.brownout_metrics().get("brownout.corrected_chunks", 0)
+    report.record(
         "uploads_match_unique_claims",
-        stats.unique_chunks == cloud.received_chunks,
-        f"unique claims={stats.unique_chunks} but cloud received "
-        f"{cloud.received_chunks} uploads",
+        cloud.received_chunks == stats.unique_chunks + corrected,
+        f"cloud received {cloud.received_chunks} uploads but unique "
+        f"claims={stats.unique_chunks} + brownout-corrected={corrected}",
     )
 
-    index_keys = frozenset(ring.store.unique_keys())
+    index_keys = {
+        key for key in ring.store.unique_keys() if not key.startswith(KEY_PREFIX)
+    }
     cloud_keys = cloud.fingerprints()
     dangling = index_keys - cloud_keys
     dropped = cloud_keys - index_keys
-    report._record(
+    report.record(
         "no_unique_chunk_lost",
         not dangling and not dropped,
         f"{len(dangling)} index keys missing from the cloud, "
@@ -96,16 +77,15 @@ def check_invariants(ring: D2Ring) -> InvariantReport:
     ReplicaRepairer(ring.store).repair_all()
     verify = ReplicaRepairer(ring.store)
     second = verify.repair_all()
-    report._record(
+    report.record(
         "replicas_converged",
         second.synced_keys == 0,
         f"second anti-entropy pass still streamed {second.synced_keys} keys",
     )
     missing = verify.verify_replication()
-    report._record(
+    report.record(
         "fully_replicated",
         not missing,
         f"{len(missing)} keys under-replicated on alive nodes "
         f"(e.g. {missing[:3]})",
     )
-    return report

@@ -1,16 +1,23 @@
-"""Drive a live D2-ring through a fault scenario and judge the outcome.
+"""The chaos runner: one registry, one entry point, one report.
 
-:func:`run_scenario` is the harness entry point: it boots a real asyncio
-ring (WAL-backed nodes), streams a seeded workload through the agents
-round-robin, fires the scenario's fault events at their scheduled ingest
-fractions, heals everything, and returns a :class:`ChaosReport` with
+:data:`SCENARIOS` names every built-in scenario with its default shape
+and body. :func:`run_scenario` builds the seeded run, executes the body
+into a :class:`~repro.chaos.report.ChaosReport`, computes the scenario's
+baseline ratio, and records ``ratio_matches_baseline`` — the headline
+acceptance check: faults may cost redundant uploads and latency, never
+dedup correctness. Bodies record their own gates and, where a live ring
+survives to the end, the shared invariants
+(:func:`~repro.chaos.invariants.check_invariants`).
 
-- the safety-invariant verdict (:mod:`repro.chaos.invariants`),
-- the final dedup ratio versus a fault-free run of the *same seed*
-  (the headline acceptance check: faults may cost redundant uploads and
-  latency, never dedup correctness),
-- recovery timings (wall-clock per restart) and degraded-mode vs healthy
-  ingest throughput, which ``benchmarks/bench_chaos_recovery.py`` exports.
+The five ring scenarios are :class:`~repro.chaos.scenarios.FaultEvent`
+schedules: this module boots a real asyncio ring (WAL-backed nodes),
+streams the seeded workload through the agents round-robin, fires each
+event at its ingest fraction, heals everything, and measures recovery
+timings (wall-clock per restart) and degraded-mode versus healthy ingest
+throughput, which ``benchmarks/bench_chaos_recovery.py`` exports. Their
+baseline — and overload's — is an in-process reference ring fed the same
+seeded schedule. The protocol scenarios live in
+:mod:`repro.chaos.protocols`.
 
 Determinism: the workload is seeded, events fire on ingest *positions*
 (fractions of the file schedule), and the default run uses explicit
@@ -21,120 +28,21 @@ but then detection latency depends on wall-clock timing.
 
 from __future__ import annotations
 
-import random
 import tempfile
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional, Union
 
-from repro.chaos.invariants import InvariantReport, check_invariants
-from repro.chaos.scenarios import ChaosScenario, FaultEvent, get_scenario
+from repro.chaos import protocols
+from repro.chaos.invariants import check_invariants
+from repro.chaos.report import ChaosReport
+from repro.chaos.scenarios import FAULT_SCHEDULES, ChaosScenario, FaultEvent
+from repro.chaos.workload import ScenarioRun
+from repro.kvstore.repair import ReplicaRepairer
+from repro.rpc.faults import FaultInjector
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
-
-
-def seeded_pool_workload(
-    n_nodes: int,
-    files_per_node: int,
-    file_kb: int,
-    seed: int,
-    block_size: int = 4096,
-    pool_blocks: int = 24,
-) -> dict[str, list[bytes]]:
-    """Deterministic per-node file streams with real cross-node redundancy:
-    files draw blocks from one shared pool, so different nodes hold
-    duplicate chunks — the workload shape collaborative dedup exists for."""
-    rng = random.Random(seed)
-    pool = [rng.randbytes(block_size) for _ in range(pool_blocks)]
-    blocks_per_file = max(1, (file_kb * 1024) // block_size)
-    return {
-        f"edge-{n}": [
-            b"".join(rng.choice(pool) for _ in range(blocks_per_file))
-            for _ in range(files_per_node)
-        ]
-        for n in range(n_nodes)
-    }
-
-
-def _round_robin(workloads: dict[str, list[bytes]]) -> list[tuple[str, bytes]]:
-    """Flatten per-node streams into the interleaved arrival order
-    :meth:`~repro.system.ring.D2Ring.ingest_workloads` uses."""
-    iters = {nid: iter(files) for nid, files in workloads.items()}
-    schedule: list[tuple[str, bytes]] = []
-    while iters:
-        finished = []
-        for nid, it in iters.items():
-            data = next(it, None)
-            if data is None:
-                finished.append(nid)
-            else:
-                schedule.append((nid, data))
-        for nid in finished:
-            del iters[nid]
-    return schedule
-
-
-@dataclass
-class ChaosReport:
-    """Everything a chaos run measured and concluded."""
-
-    scenario: str
-    seed: int
-    nodes: int
-    total_files: int
-    events_fired: list[str]
-    invariants: InvariantReport
-    dedup_ratio: float
-    baseline_ratio: float
-    recovery_times_s: list[float]
-    degraded_seconds: float
-    degraded_bytes: int
-    healthy_seconds: float
-    healthy_bytes: int
-    store_stats: dict[str, float] = field(default_factory=dict)
-    wal_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def ratio_matches_baseline(self) -> bool:
-        return abs(self.dedup_ratio - self.baseline_ratio) < 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return self.invariants.passed and self.ratio_matches_baseline
-
-    @property
-    def degraded_throughput_mb_s(self) -> float:
-        if self.degraded_seconds <= 0:
-            return 0.0
-        return self.degraded_bytes / 1e6 / self.degraded_seconds
-
-    @property
-    def healthy_throughput_mb_s(self) -> float:
-        if self.healthy_seconds <= 0:
-            return 0.0
-        return self.healthy_bytes / 1e6 / self.healthy_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "total_files": self.total_files,
-            "passed": self.passed,
-            "events_fired": list(self.events_fired),
-            "invariants": self.invariants.as_dict(),
-            "dedup_ratio": self.dedup_ratio,
-            "baseline_ratio": self.baseline_ratio,
-            "ratio_matches_baseline": self.ratio_matches_baseline,
-            "recovery_times_s": list(self.recovery_times_s),
-            "degraded_throughput_mb_s": self.degraded_throughput_mb_s,
-            "healthy_throughput_mb_s": self.healthy_throughput_mb_s,
-            "degraded_seconds": self.degraded_seconds,
-            "healthy_seconds": self.healthy_seconds,
-            "store_stats": dict(self.store_stats),
-            "wal_stats": {n: dict(s) for n, s in self.wal_stats.items()},
-        }
 
 
 def _await_liveness_view(
@@ -165,15 +73,17 @@ def _await_liveness_view(
 class _EventDriver:
     """Applies fault events to a live ring and tracks who is unhealthy."""
 
-    def __init__(self, ring: D2Ring, members: list[str], injector) -> None:
+    def __init__(
+        self, ring: D2Ring, members: list[str], injector, report: ChaosReport
+    ) -> None:
         self.ring = ring
         self.members = members
         self.injector = injector
         self.killed: set[str] = set()
         self.isolated: set[str] = set()
         self.slowed: dict[str, object] = {}  # node id -> installed SLOW rule
-        self.recovery_times_s: list[float] = []
-        self.log: list[str] = []
+        self.recovery_times_s = report.recovery_times_s
+        self.log = report.events_fired
 
     @property
     def unhealthy(self) -> set[str]:
@@ -205,8 +115,6 @@ class _EventDriver:
                     self.injector.heal(node, peer)
             started = time.perf_counter()
             self.ring.store.mark_up(node)
-            from repro.kvstore.repair import ReplicaRepairer
-
             ReplicaRepairer(self.ring.store).repair_node(node)
             self.recovery_times_s.append(time.perf_counter() - started)
             self.isolated.discard(node)
@@ -236,151 +144,247 @@ class _EventDriver:
             self.log[-1] = f"auto-{self.log[-1]}"
 
 
-def run_scenario(
-    scenario: Union[str, ChaosScenario],
-    nodes: int = 3,
-    files_per_node: int = 6,
-    file_kb: int = 32,
-    seed: int = 7,
-    gamma: int = 2,
-    lookup_batch: int = 16,
-    data_dir: Optional[Union[str, Path]] = None,
-    heartbeat_interval_s: float = 0.0,
-    codec: Optional[str] = None,
-    skip_baseline: bool = False,
-) -> ChaosReport:
-    """Run one scenario against a fresh live ring; see the module docstring.
-
-    Args:
-        scenario: a built-in name (``crash-restart``, ``rolling-restart``,
-            ``flapping``, ``partition-heal``) or a custom
-            :class:`ChaosScenario`.
-        nodes/files_per_node/file_kb/seed: workload shape (deterministic
-            per seed).
-        gamma: replication factor of the ring index.
-        lookup_batch: fingerprints per batched index round trip.
-        data_dir: WAL directory (a temp dir when omitted).
-        heartbeat_interval_s: > 0 runs the phi-accrual heartbeat prober and
-            leaves crash *detection* to it (kills stop being explicitly
-            marked down).
-        codec: wire codec override.
-        skip_baseline: reuse when the caller already knows the fault-free
-            ratio (baseline_ratio is then copied from the chaos run).
-    """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario, nodes)
-    if nodes < scenario.min_nodes:
-        raise ValueError(
-            f"scenario {scenario.name!r} needs >= {scenario.min_nodes} nodes, "
-            f"got {nodes}"
-        )
-    workloads = seeded_pool_workload(nodes, files_per_node, file_kb, seed)
-    members = sorted(workloads)
-    schedule = _round_robin(workloads)
+def _run_fault_schedule(
+    make_schedule: Callable[[int], ChaosScenario],
+    run: ScenarioRun,
+    report: ChaosReport,
+) -> None:
+    """Body of the ring scenarios: drive a live ring through the schedule."""
+    scenario = make_schedule(run.nodes)
+    members = run.members
+    schedule = run.segment(0)
     total = len(schedule)
-
-    def build_config(transport: str, wal_dir: Optional[str]) -> EFDedupConfig:
-        return EFDedupConfig(
+    injector = FaultInjector(seed=run.seed)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp, D2Ring(
+        "chaos-0",
+        members,
+        config=EFDedupConfig(
             chunk_size=4096,
-            replication_factor=gamma,
-            lookup_batch=lookup_batch,
-            transport=transport,
-            rpc_codec=codec,
-            data_dir=wal_dir,
-            heartbeat_interval_s=heartbeat_interval_s if transport == "asyncio" else 0.0,
-        )
-
-    baseline_ratio: Optional[float] = None
-    if not skip_baseline:
-        ref = D2Ring("chaos-ref", members, config=build_config("inproc", None))
-        for node_id, data in schedule:
-            ref.agent(node_id).ingest(data)
-        baseline_ratio = ref.combined_stats().dedup_ratio
-
-    from repro.rpc.faults import FaultInjector
-
-    injector = FaultInjector(seed=seed)
-    tmp = None
-    if data_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        data_dir = tmp.name
-    try:
-        with D2Ring(
-            "chaos-0",
-            members,
-            config=build_config("asyncio", str(data_dir)),
-            fault_injector=injector,
-        ) as ring:
-            driver = _EventDriver(ring, members, injector)
-            heartbeats = ring.live_cluster.heartbeats is not None
-            events = list(scenario.events)
-            ev_i = 0
-            degraded_s = healthy_s = 0.0
-            degraded_b = healthy_b = 0
-            deferred: list[tuple[str, bytes]] = []
-            for i, (node_id, data) in enumerate(schedule):
-                while ev_i < len(events) and events[ev_i].at_fraction * total <= i:
-                    driver.fire(events[ev_i])
-                    ev_i += 1
-                if heartbeats and driver.killed:
-                    # Detection latency stalls the pipeline, not fails it.
-                    degraded_s += _await_liveness_view(ring, set(driver.killed))
-                if node_id in driver.isolated:
-                    # An isolated member's agent cannot reach any replica;
-                    # its files wait for the partition to heal (the client
-                    # retrying later), keeping totals comparable with the
-                    # fault-free run.
-                    deferred.append((node_id, data))
-                    continue
-                started = time.perf_counter()
-                ring.agent(node_id).ingest(data)
-                elapsed = time.perf_counter() - started
-                if driver.unhealthy:
-                    degraded_s += elapsed
-                    degraded_b += len(data)
-                else:
-                    healthy_s += elapsed
-                    healthy_b += len(data)
-            while ev_i < len(events):
+            replication_factor=run.gamma,
+            lookup_batch=run.lookup_batch,
+            transport="asyncio",
+            rpc_codec=run.codec,
+            data_dir=str(run.data_dir or tmp),
+            heartbeat_interval_s=run.heartbeat_interval_s,
+        ),
+        fault_injector=injector,
+    ) as ring:
+        driver = _EventDriver(ring, members, injector, report)
+        heartbeats = ring.live_cluster.heartbeats is not None
+        events = list(scenario.events)
+        ev_i = 0
+        degraded_s = healthy_s = 0.0
+        degraded_b = healthy_b = 0
+        deferred: list[tuple[str, bytes]] = []
+        for i, (node_id, data) in enumerate(schedule):
+            while ev_i < len(events) and events[ev_i].at_fraction * total <= i:
                 driver.fire(events[ev_i])
                 ev_i += 1
-            driver.heal_everything()
-            if heartbeats:
-                # The sweeper may re-suspect a just-restarted member until
-                # its first ping lands; the invariant checker needs a
-                # stable all-alive view.
-                deadline = time.perf_counter() + 15.0
-                while set(ring.store.alive_nodes()) != set(members):
-                    if time.perf_counter() >= deadline:
-                        raise RuntimeError(
-                            "heartbeat prober did not re-admit all members"
-                        )
-                    time.sleep(0.005)
-            for node_id, data in deferred:
-                started = time.perf_counter()
-                ring.agent(node_id).ingest(data)
-                healthy_s += time.perf_counter() - started
+            if heartbeats and driver.killed:
+                # Detection latency stalls the pipeline, not fails it.
+                degraded_s += _await_liveness_view(ring, set(driver.killed))
+            if node_id in driver.isolated:
+                # An isolated member's agent cannot reach any replica;
+                # its files wait for the partition to heal (the client
+                # retrying later), keeping totals comparable with the
+                # fault-free run.
+                deferred.append((node_id, data))
+                continue
+            started = time.perf_counter()
+            ring.agent(node_id).ingest(data)
+            elapsed = time.perf_counter() - started
+            if driver.unhealthy:
+                degraded_s += elapsed
+                degraded_b += len(data)
+            else:
+                healthy_s += elapsed
                 healthy_b += len(data)
-            invariants = check_invariants(ring)
-            ratio = ring.combined_stats().dedup_ratio
-            report = ChaosReport(
-                scenario=scenario.name,
-                seed=seed,
-                nodes=nodes,
-                total_files=total,
-                events_fired=driver.log,
-                invariants=invariants,
-                dedup_ratio=ratio,
-                baseline_ratio=ratio if baseline_ratio is None else baseline_ratio,
-                recovery_times_s=driver.recovery_times_s,
-                degraded_seconds=degraded_s,
-                degraded_bytes=degraded_b,
-                healthy_seconds=healthy_s,
-                healthy_bytes=healthy_b,
-                store_stats=ring.store.stats.snapshot(),
-                wal_stats=ring.live_cluster.wal_stats(),
-            )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        while ev_i < len(events):
+            driver.fire(events[ev_i])
+            ev_i += 1
+        driver.heal_everything()
+        if heartbeats:
+            # The sweeper may re-suspect a just-restarted member until
+            # its first ping lands; the invariant checker needs a
+            # stable all-alive view.
+            deadline = time.perf_counter() + 15.0
+            while set(ring.store.alive_nodes()) != set(members):
+                if time.perf_counter() >= deadline:
+                    raise RuntimeError(
+                        "heartbeat prober did not re-admit all members"
+                    )
+                time.sleep(0.005)
+        for node_id, data in deferred:
+            started = time.perf_counter()
+            ring.agent(node_id).ingest(data)
+            healthy_s += time.perf_counter() - started
+            healthy_b += len(data)
+        check_invariants(ring, report)
+        report.total_files = total
+        report.dedup_ratio = ring.combined_stats().dedup_ratio
+        wal_stats = ring.live_cluster.wal_stats()
+        report.detail["wal_stats"] = wal_stats
+        report.metrics.update(
+            {
+                "degraded_seconds": degraded_s,
+                "healthy_seconds": healthy_s,
+                "degraded_throughput_mb_s": _mb_s(degraded_b, degraded_s),
+                "healthy_throughput_mb_s": _mb_s(healthy_b, healthy_s),
+                "wal.entries_restored": float(
+                    sum(
+                        s.get("log_entries_replayed", 0)
+                        + s.get("snapshot_entries_loaded", 0)
+                        for s in wal_stats.values()
+                    )
+                ),
+                **{
+                    f"store.{k}": float(v)
+                    for k, v in ring.store.stats.snapshot().items()
+                },
+            }
+        )
+
+
+def _mb_s(nbytes: int, seconds: float) -> float:
+    return nbytes / 1e6 / seconds if seconds > 0 else 0.0
+
+
+def _reference_ratio(run: ScenarioRun) -> float:
+    """Ratio of a fault-free, unloaded in-process ring over the same
+    seeded schedule."""
+    ref = D2Ring(
+        "chaos-ref",
+        run.members,
+        config=EFDedupConfig(
+            chunk_size=4096,
+            replication_factor=run.gamma,
+            lookup_batch=run.lookup_batch,
+        ),
+    )
+    for node_id, data in run.segment(0):
+        ref.agent(node_id).ingest(data)
+    return ref.combined_stats().dedup_ratio
+
+
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """One registered scenario: what it does, its default shape
+    (``nodes`` x ``files`` per node x ``file_kb``), the smallest ring it
+    runs on, its body, and the baseline its ratio must match (``None``
+    when it gates on something else)."""
+
+    description: str
+    body: Callable[[ScenarioRun, ChaosReport], object]
+    baseline: Optional[Callable[[ScenarioRun], float]]
+    nodes: int = 3
+    files: int = 6
+    file_kb: int = 32
+    min_nodes: int = 2
+
+
+def _ring_entry(name: str, description: str) -> ScenarioEntry:
+    return ScenarioEntry(
+        description,
+        partial(_run_fault_schedule, FAULT_SCHEDULES[name]),
+        _reference_ratio,
+    )
+
+
+SCENARIOS: dict[str, ScenarioEntry] = {
+    "crash-restart": _ring_entry(
+        "crash-restart",
+        "kill member 1 at 25% of ingest, restart it at 60% (WAL reload, "
+        "hint replay, anti-entropy)",
+    ),
+    "rolling-restart": _ring_entry(
+        "rolling-restart", "restart every member in turn, one at a time"
+    ),
+    "flapping": _ring_entry("flapping", "member 1 crash-restarts three times"),
+    "partition-heal": _ring_entry(
+        "partition-heal",
+        "partition member 1 from every peer at 25%, heal at 60%",
+    ),
+    "slow-node": _ring_entry(
+        "slow-node",
+        "member 1 turns gray (alive but lognormally slow) from 20% to 70%",
+    ),
+    "migrate-under-faults": ScenarioEntry(
+        "crash a source-ring member while a live migration's dual-lookup "
+        "window is open; the ratio must equal the crash-free migration",
+        protocols.migrate_under_faults,
+        protocols.migrate_under_faults,
+        nodes=6, files=2, file_kb=8, min_nodes=4,
+    ),
+    "restore-under-zone-failure": ScenarioEntry(
+        "fail m cloud-tier zones, evict the edge shelves, and require "
+        "byte-exact k-of-n restores plus a clean GC sweep",
+        protocols.restore_under_zone_failure,
+        None,
+        files=4,
+    ),
+    "overload": ScenarioEntry(
+        "drive an open-loop generator past the knee; require bounded "
+        "admitted latency, exact shed accounting, and a reconciled ratio "
+        "equal to the unloaded baseline",
+        protocols.overload,
+        _reference_ratio,
+        files=4,
+    ),
+    "hot-index": ScenarioEntry(
+        "migrate the secure tier's hot key slice to the edge under live "
+        "ingest with a GC sweep mid-window; the ratio must equal the "
+        "migration-free twin",
+        protocols.hot_index,
+        protocols.hot_index,
+        nodes=4, files=2, file_kb=8, min_nodes=4,
+    ),
+}
+
+
+def run_scenario(scenario: Union[str, ChaosScenario], **shape) -> ChaosReport:
+    """Run one scenario on a fresh cluster and return its report.
+
+    Args:
+        scenario: a :data:`SCENARIOS` name, or a custom
+            :class:`ChaosScenario` fault schedule (run like the ring
+            scenarios).
+        **shape: :class:`~repro.chaos.workload.ScenarioRun` fields;
+            ``nodes``, ``files_per_node`` and ``file_kb`` default to the
+            scenario's registered shape.
+    """
+    if isinstance(scenario, ChaosScenario):
+        name = scenario.name
+        entry = ScenarioEntry(
+            scenario.description,
+            partial(_run_fault_schedule, lambda n_nodes: scenario),
+            _reference_ratio,
+            min_nodes=scenario.min_nodes,
+        )
+    elif scenario in SCENARIOS:
+        name, entry = scenario, SCENARIOS[scenario]
+    else:
+        raise KeyError(
+            f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
+        )
+    run = ScenarioRun(
+        **{
+            "nodes": entry.nodes,
+            "files_per_node": entry.files,
+            "file_kb": entry.file_kb,
+            **shape,
+        }
+    )
+    if run.nodes < entry.min_nodes:
+        raise ValueError(
+            f"scenario {name!r} needs >= {entry.min_nodes} nodes, got {run.nodes}"
+        )
+    report = ChaosReport(scenario=name, seed=run.seed, nodes=run.nodes)
+    entry.body(run, report)
+    if entry.baseline is not None:
+        baseline = report.baseline_ratio = entry.baseline(run)
+        report.record(
+            "ratio_matches_baseline",
+            abs(report.dedup_ratio - baseline) < 1e-12,
+            f"ratio {report.dedup_ratio!r} != fault-free baseline {baseline!r}",
+        )
     return report

@@ -181,26 +181,12 @@ def slow_node(
     )
 
 
-SCENARIOS = {
+# The ring scenarios of the registry in :mod:`repro.chaos.runner`: each
+# factory takes the ring size (only rolling-restart depends on it).
+FAULT_SCHEDULES = {
     "crash-restart": lambda n_nodes: crash_restart(),
     "rolling-restart": rolling_restart,
     "flapping": lambda n_nodes: flapping(),
     "partition-heal": lambda n_nodes: partition_heal(),
     "slow-node": lambda n_nodes: slow_node(),
 }
-
-
-def get_scenario(name: str, n_nodes: int) -> ChaosScenario:
-    """Instantiate a built-in scenario for a ring of ``n_nodes`` members."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        ) from None
-    scenario = factory(n_nodes)
-    if n_nodes < scenario.min_nodes:
-        raise ValueError(
-            f"scenario {name!r} needs >= {scenario.min_nodes} nodes, got {n_nodes}"
-        )
-    return scenario

@@ -20,11 +20,14 @@ The subcommands cover the workflows a user runs repeatedly:
                         unified metrics export and a Chrome-trace span dump;
 - ``repro metrics``   — render a ``--metrics-json`` export as a table,
                         Prometheus text, or JSON;
-- ``repro chaos``     — run a seeded fault scenario (crash-restart,
-                        rolling-restart, flapping, partition-heal) against
-                        a live WAL-backed ring and check the recovery
-                        invariants; exit 1 if any is violated or the final
-                        dedup ratio drifts from the fault-free baseline;
+- ``repro chaos``     — run one registered chaos scenario (the ring
+                        scenarios crash-restart, rolling-restart, flapping,
+                        partition-heal and slow-node, plus
+                        migrate-under-faults, restore-under-zone-failure,
+                        overload and hot-index) against a live cluster and
+                        print every check; exit 1 if any is violated,
+                        including a final dedup ratio that drifts from the
+                        scenario's fault-free baseline;
 - ``repro restore``   — the data-plane durability proof: ingest a seeded
                         workload into a durable cluster (ring-local
                         payload shelves + RS(k, m) erasure-coded cloud
@@ -86,6 +89,15 @@ _FIGURES = {
 }
 
 
+def _per_scenario_default(scenarios, attr: str) -> str:
+    """Help text for a shape flag whose default each scenario sets: the
+    most common value, then the exceptions."""
+    values = {name: getattr(entry, attr) for name, entry in scenarios.items()}
+    common = max(set(values.values()), key=list(values.values()).count)
+    others = [f"{v} for {name}" for name, v in values.items() if v != common]
+    return "; ".join([f"default {common}"] + others)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -130,51 +142,34 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
 
+    from repro.chaos import SCENARIOS
+
     chaos = sub.add_parser(
         "chaos",
-        help="run a seeded fault scenario against a live ring and check "
-        "the recovery invariants",
+        help="run a seeded fault scenario against a live cluster and check "
+        "its invariants",
     )
     chaos.add_argument(
         "scenario",
         nargs="?",
         default="crash-restart",
-        choices=(
-            "crash-restart",
-            "rolling-restart",
-            "flapping",
-            "partition-heal",
-            "slow-node",
-            "migrate-under-faults",
-            "restore-under-zone-failure",
-            "overload",
-            "hot-index",
-        ),
-        help="fault schedule to inject (default: crash-restart); "
-        "slow-node turns one member gray (alive but lognormally slow) "
-        "mid-ingest; migrate-under-faults crashes a source-ring node while "
-        "a live migration's dual-lookup window is open; "
-        "restore-under-zone-failure fails m cloud-tier zones, evicts the "
-        "edge shelves, and requires byte-exact k-of-n restores plus a "
-        "clean GC sweep; overload drives an open-loop generator past the "
-        "knee and requires bounded admitted latency, exact shed "
-        "accounting, and a post-reconciliation ratio equal to the "
-        "unloaded baseline; hot-index migrates the secure tier's hot key "
-        "slice to the edge under live ingest with a GC sweep mid-window "
-        "and requires a ratio exactly equal to the migration-free twin",
+        choices=tuple(SCENARIOS),
+        help="scenario to run (default: crash-restart): "
+        + "; ".join(f"{name} — {e.description}" for name, e in SCENARIOS.items())
+        .replace("%", "%%"),
     )
     chaos.add_argument(
         "--nodes", type=int, default=None,
-        help="ring members (default 3; 6 for migrate-under-faults)",
+        help="cluster members (" + _per_scenario_default(SCENARIOS, "nodes") + ")",
     )
     chaos.add_argument(
         "--files", type=int, default=None,
-        help="files ingested per node (default 6; 2 per segment for "
-        "migrate-under-faults)",
+        help="files ingested per node and segment ("
+        + _per_scenario_default(SCENARIOS, "files") + ")",
     )
     chaos.add_argument(
         "--file-kb", type=int, default=None,
-        help="file size in KiB (default 32; 8 for migrate-under-faults)",
+        help="file size in KiB (" + _per_scenario_default(SCENARIOS, "file_kb") + ")",
     )
     chaos.add_argument("--gamma", type=int, default=2, help="replication factor")
     chaos.add_argument("--seed", type=int, default=7, help="workload seed")
@@ -183,12 +178,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--data-dir", default=None, metavar="DIR",
-        help="WAL directory (default: a temp dir, removed afterwards)",
+        help="WAL directory of the ring scenarios and refcount journal of "
+        "restore-under-zone-failure (default: a temp dir, removed afterwards)",
     )
     chaos.add_argument(
         "--heartbeat-ms", type=float, default=0.0,
-        help="run the phi-accrual heartbeat prober at this period and let "
-        "it detect the crashes (default 0: explicit mark-down)",
+        help="ring scenarios only — run the phi-accrual heartbeat prober at "
+        "this period and let it detect the crashes (default 0: explicit "
+        "mark-down)",
     )
     chaos.add_argument(
         "--codec", default=None,
@@ -581,7 +578,7 @@ def _seeded_workload(
     Files are drawn block-wise from a shared pool, so different nodes hold
     duplicate chunks — the workload shape collaborative dedup exists for.
     """
-    from repro.chaos.runner import seeded_pool_workload
+    from repro.chaos import seeded_pool_workload
 
     return seeded_pool_workload(
         n_nodes, files_per_node, file_kb, seed, block_size=block_size
@@ -683,253 +680,42 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_chaos_migration(args: argparse.Namespace) -> int:
-    from repro.chaos import run_migration_scenario
-
-    nodes = args.nodes if args.nodes is not None else 6
-    files = args.files if args.files is not None else 2
-    file_kb = args.file_kb if args.file_kb is not None else 8
-    print(f"chaos: scenario=migrate-under-faults nodes={nodes} "
-          f"files={files}x{file_kb}KiB/segment seed={args.seed} "
-          f"gamma={args.gamma}")
-    report = run_migration_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    mig = report.migration
-    print(f"migration: state={report.state} "
-          f"moved={mig.get('migration.nodes_moved', 0):.0f} "
-          f"streamed={mig.get('migration.entries_streamed', 0):.0f} "
-          f"delta={mig.get('migration.entries_restreamed', 0):.0f} "
-          f"probes={mig.get('migration.dual_lookup_probes', 0):.0f} "
-          f"hits={mig.get('migration.dual_lookup_hits', 0):.0f}")
-    if report.recovery_time_s:
-        print(f"recovery: crashed node rejoined in "
-              f"{report.recovery_time_s * 1e3:.1f}ms mid-window")
-    print(f"dedup_ratio={report.dedup_ratio:.3f} "
-          f"(fault-free migration baseline {report.baseline_ratio:.3f}, "
-          f"match={report.ratio_matches_baseline})")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — migration committed under faults and dedup "
-              "matched the fault-free migration baseline")
-        return 0
-    print("chaos: FAIL — "
-          f"state={report.state}, ratio {report.dedup_ratio} vs "
-          f"baseline {report.baseline_ratio}", file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_restore(args: argparse.Namespace) -> int:
-    from repro.chaos import run_restore_scenario
-
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 4
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario=restore-under-zone-failure nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} gamma={args.gamma}")
-    report = run_restore_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-        journal_dir=args.data_dir,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    print(f"restores: healthy_mismatches={report.healthy_mismatches} "
-          f"degraded_mismatches={report.degraded_mismatches} "
-          f"post_sweep_mismatches={report.post_sweep_mismatches} "
-          f"premature_deletions={report.premature_deletions}")
-    print(f"tier: degraded_stripes_seen={report.degraded_stripes_seen} "
-          f"under_replicated_after_recover={report.under_replicated_after_recover}")
-    print(f"gc: deleted {report.files_deleted} files, swept "
-          f"{report.chunks_swept} chunks, reclaimed "
-          f"{report.reclaimed_payload_bytes} payload bytes, "
-          f"orphans={report.orphans_adopted}")
-    for name, ok in report.invariants.checks.items():
-        print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — every restore was byte-exact through zone "
-              "failure, edge eviction, and the GC sweep")
-        return 0
-    print("chaos: FAIL — "
-          + "; ".join(report.invariants.violations
-                      or ["restore or GC check failed (see counters above)"]),
-          file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_overload(args: argparse.Namespace) -> int:
-    from repro.chaos import run_overload_scenario
-
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 4
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario=overload nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} gamma={args.gamma} "
-          f"knee={args.knee_rps:g}req/s window={args.duration_s:g}s")
-    report = run_overload_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-        knee_rps=args.knee_rps,
-        duration_s=args.duration_s,
-    )
-    knee, over = report.knee_step, report.overload_step
-    print(f"knee   @ {report.knee_rps:7.0f} req/s: "
-          f"arrivals={knee.arrivals} completed={knee.completed} "
-          f"shed={knee.shed} failed={knee.failed} p99={knee.p99_s * 1e3:.1f}ms")
-    print(f"beyond @ {report.overload_rps:7.0f} req/s: "
-          f"arrivals={over.arrivals} completed={over.completed} "
-          f"shed={over.shed} failed={over.failed} p99={over.p99_s * 1e3:.1f}ms "
-          f"(shed fraction {report.shed_fraction:.2f})")
-    b = report.brownout
-    print(f"brownout: trips={b.get('brownout.trips', 0)} "
-          f"write_through={b.get('brownout.write_through', 0)} "
-          f"journaled={b.get('brownout.journaled', 0)} "
-          f"reconciled={b.get('brownout.reconciled', 0)} "
-          f"corrected={b.get('brownout.corrected_chunks', 0)} "
-          f"breaker_opens={report.breaker_opens}")
-    print(f"dedup_ratio={report.dedup_ratio:.6f} "
-          f"(unloaded baseline {report.baseline_ratio:.6f}, "
-          f"match={report.ratio_matches_baseline})")
-    for name, ok in report.checks.items():
-        print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — shedding bounded admitted latency and the "
-              "reconciled ratio matched the unloaded baseline exactly")
-        return 0
-    print("chaos: FAIL — " + "; ".join(report.violations), file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_hotindex(args: argparse.Namespace) -> int:
-    from repro.chaos import run_hotindex_scenario
-
-    nodes = args.nodes if args.nodes is not None else 4
-    files = args.files if args.files is not None else 2
-    file_kb = args.file_kb if args.file_kb is not None else 8
-    print(f"chaos: scenario=hot-index nodes={nodes} "
-          f"files={files}x{file_kb}KiB/segment seed={args.seed} "
-          f"hot_size={args.hot_size}")
-    report = run_hotindex_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        hot_size=args.hot_size,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    print(f"hotindex: state={report.state} "
-          f"streamed={report.entries_streamed} "
-          f"delta={report.entries_restreamed} "
-          f"edge_hits={report.edge_hits}")
-    sec = report.secure
-    print(f"secure: claims={sec.get('claims', 0):.0f} "
-          f"granted={sec.get('granted', 0):.0f} "
-          f"denied={sec.get('denied', 0):.0f} "
-          f"skipped_upload_bytes={sec.get('skipped_upload_bytes', 0):.0f}")
-    print(f"dedup_ratio={report.dedup_ratio:.6f} "
-          f"(migration-free baseline {report.baseline_ratio:.6f}, "
-          f"match={report.ratio_matches_baseline})")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — hot slice committed under ingest and a "
-              "mid-window GC sweep, dedup matched the migration-free twin")
-        return 0
-    print("chaos: FAIL — "
-          f"state={report.state}, edge_hits={report.edge_hits}, "
-          f"delta={report.entries_restreamed}, ratio {report.dedup_ratio} "
-          f"vs baseline {report.baseline_ratio}", file=sys.stderr)
-    return 1
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_scenario
 
-    if args.scenario == "migrate-under-faults":
-        return _cmd_chaos_migration(args)
-    if args.scenario == "restore-under-zone-failure":
-        return _cmd_chaos_restore(args)
-    if args.scenario == "overload":
-        return _cmd_chaos_overload(args)
-    if args.scenario == "hot-index":
-        return _cmd_chaos_hotindex(args)
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 6
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario={args.scenario} nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} "
-          f"gamma={args.gamma}"
-          + (f" heartbeat={args.heartbeat_ms:g}ms" if args.heartbeat_ms else ""))
+    shape = {
+        "nodes": args.nodes,
+        "files_per_node": args.files,
+        "file_kb": args.file_kb,
+    }
     report = run_scenario(
         args.scenario,
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
+        **{k: v for k, v in shape.items() if v is not None},
         seed=args.seed,
         gamma=args.gamma,
         lookup_batch=args.batch,
         data_dir=args.data_dir,
         heartbeat_interval_s=args.heartbeat_ms / 1e3,
         codec=args.codec,
+        knee_rps=args.knee_rps,
+        duration_s=args.duration_s,
+        hot_size=args.hot_size,
     )
+    print(f"chaos: scenario={report.scenario} nodes={report.nodes} "
+          f"files={report.total_files} seed={report.seed} gamma={args.gamma}")
     print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    for name, ok in report.invariants.checks.items():
+    for name, ok in report.checks.items():
         print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    print(f"dedup_ratio={report.dedup_ratio:.3f} "
-          f"(fault-free baseline {report.baseline_ratio:.3f}, "
-          f"match={report.ratio_matches_baseline})")
+    if report.baseline_ratio is None:
+        print(f"dedup_ratio={report.dedup_ratio:.6f} (no baseline)")
+    else:
+        print(f"dedup_ratio={report.dedup_ratio:.6f} "
+              f"(baseline {report.baseline_ratio:.6f})")
     if report.recovery_times_s:
         print(f"recovery: {len(report.recovery_times_s)} rejoin(s), "
               f"worst {max(report.recovery_times_s) * 1e3:.1f}ms")
-    print(f"throughput: degraded {report.degraded_throughput_mb_s:.1f} MB/s "
-          f"over {report.degraded_seconds:.3f}s, "
-          f"healthy {report.healthy_throughput_mb_s:.1f} MB/s "
-          f"over {report.healthy_seconds:.3f}s")
-    hints = report.store_stats
-    print(f"store: hints_stored={hints.get('hints_stored', 0):.0f} "
-          f"hints_replayed={hints.get('hints_replayed', 0):.0f} "
-          f"read_repairs={hints.get('read_repairs', 0):.0f} "
-          f"recovery_repairs={hints.get('recovery_repairs', 0):.0f}")
-    replayed = sum(
-        s.get("log_entries_replayed", 0) + s.get("snapshot_entries_loaded", 0)
-        for s in report.wal_stats.values()
-    )
-    print(f"wal: {replayed:.0f} entries restored across "
-          f"{len(report.wal_stats)} node(s)")
+    for name, value in sorted(report.metrics.items()):
+        print(f"  {name}={value:.6g}")
     if args.report_json:
         import json
 
@@ -937,23 +723,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         print(f"report: wrote {args.report_json}")
     if report.passed:
-        print("chaos: PASS — all invariants held and dedup matched the "
-              "fault-free baseline")
+        print(f"chaos: PASS — all {len(report.checks)} checks held")
         return 0
-    print("chaos: FAIL — " + "; ".join(report.invariants.violations or
-          [f"ratio {report.dedup_ratio} != baseline {report.baseline_ratio}"]),
-          file=sys.stderr)
+    print("chaos: FAIL — " + "; ".join(report.violations), file=sys.stderr)
     return 1
 
 
 def _cmd_secure(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.system.cluster import DurableEFDedupCluster
+    from repro.chaos import demo_cluster, round_robin, seeded_pool_workload
     from repro.system.config import EFDedupConfig
 
     if args.nodes < 4 or args.nodes % 2:
@@ -961,20 +740,6 @@ def _cmd_secure(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     nodes, half = args.nodes, args.nodes // 2
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topology = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topology),
-        duration=2.0,
-        gamma=args.gamma,
-        alpha=50.0,
-    )
     config = EFDedupConfig(
         chunk_size=4096,
         replication_factor=args.gamma,
@@ -986,12 +751,10 @@ def _cmd_secure(args: argparse.Namespace) -> int:
     print(f"secure: nodes={nodes} (2 rings) files={args.files}x"
           f"{args.file_kb}KiB seed={args.seed} hot_size={args.hot_size} "
           f"wan_rtt={args.wan_rtt_ms:g}ms")
-    cluster = DurableEFDedupCluster(topology, problem, config=config)
-    cluster.partition = [list(range(half)), list(range(half, nodes))]
-    cluster.deploy()
-    try:
+    partition = [list(range(half)), list(range(half, nodes))]
+    with demo_cluster(nodes, partition, config) as cluster:
         files: dict[str, bytes] = {}
-        seg1 = _round_robin(
+        seg1 = round_robin(
             seeded_pool_workload(half, args.files, args.file_kb, seed=args.seed)
         )
         for i, (nid, data) in enumerate(seg1):
@@ -1056,19 +819,13 @@ def _cmd_secure(args: argparse.Namespace) -> int:
               f"committed={committed} proven={all_proven} "
               f"sealed={sealed} mismatches={mismatches}", file=sys.stderr)
         return 1
-    finally:
-        cluster.shutdown()
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
     import tempfile
     import time as _time
 
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.system.cluster import DurableEFDedupCluster
+    from repro.chaos import demo_cluster, round_robin, seeded_pool_workload
     from repro.system.config import EFDedupConfig
 
     if args.fail_zones > args.m:
@@ -1076,20 +833,6 @@ def _cmd_restore(args: argparse.Namespace) -> int:
               "reconstruction would be impossible", file=sys.stderr)
         return 2
     nodes = args.nodes
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topology = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topology),
-        duration=2.0,
-        gamma=args.gamma,
-        alpha=50.0,
-    )
     config = EFDedupConfig(
         chunk_size=4096,
         replication_factor=args.gamma,
@@ -1104,86 +847,80 @@ def _cmd_restore(args: argparse.Namespace) -> int:
           f"seed={args.seed} transport={args.transport} "
           f"RS(k={args.k},m={args.m}) fail_zones={args.fail_zones} "
           f"evict_edge={args.evict_edge} delete={args.delete}")
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = DurableEFDedupCluster(
-            topology, problem, config=config, journal_dir=tmp
+    with tempfile.TemporaryDirectory() as tmp, demo_cluster(
+        nodes, [list(range(nodes))], config, journal_dir=tmp
+    ) as cluster:
+        files: dict[str, bytes] = {}
+        schedule = round_robin(
+            seeded_pool_workload(nodes, args.files, args.file_kb, seed=args.seed)
         )
-        cluster.partition = [list(range(nodes))]
-        cluster.deploy()
-        try:
-            files: dict[str, bytes] = {}
-            schedule = _round_robin(
-                seeded_pool_workload(nodes, args.files, args.file_kb, seed=args.seed)
+        t0 = _time.perf_counter()
+        for i, (nid, data) in enumerate(schedule):
+            fid = f"file-{i}"
+            files[fid] = data
+            cluster.ingest_file(nid, fid, data)
+        ingest_s = _time.perf_counter() - t0
+        total_mb = sum(len(d) for d in files.values()) / 1e6
+        print(f"ingest: {len(files)} files, {total_mb:.2f} MB in "
+              f"{ingest_s:.3f}s ({total_mb / max(ingest_s, 1e-9):.1f} MB/s)")
+
+        for z in range(args.fail_zones):
+            cluster.fail_zone(z)
+        if args.fail_zones:
+            print(f"faults: failed zones {list(range(args.fail_zones))}")
+        if args.evict_edge:
+            evicted = sum(r.content.clear() for r in cluster.rings)
+            print(f"faults: evicted {evicted} edge payload copies")
+
+        swept_ok = True
+        if args.delete:
+            doomed = sorted(files)[: args.delete]
+            for fid in doomed:
+                cluster.delete_file(fid)
+                del files[fid]
+            sweep = cluster.gc_sweep()
+            swept_ok = sweep.orphans_adopted == 0
+            print(f"gc: deleted {len(doomed)} files, swept {sweep.swept} "
+                  f"chunks, reclaimed {sweep.reclaimed_payload_bytes} "
+                  f"payload bytes, orphans={sweep.orphans_adopted}")
+
+        mismatches = 0
+        restore_mb = 0.0
+        t1 = _time.perf_counter()
+        for fid, data in files.items():
+            out = cluster.restore_file(fid)
+            restore_mb += len(out) / 1e6
+            if out != data:
+                mismatches += 1
+        restore_s = _time.perf_counter() - t1
+        mode = "degraded" if (args.fail_zones or args.evict_edge) else "healthy"
+        print(f"restore: {len(files)} files, {restore_mb:.2f} MB in "
+              f"{restore_s:.3f}s ({restore_mb / max(restore_s, 1e-9):.1f} MB/s, "
+              f"{mode}), mismatches={mismatches}")
+
+        under_replicated = 0
+        if args.fail_zones:
+            rebuilt = sum(
+                cluster.recover_zone(z) for z in range(args.fail_zones)
             )
-            t0 = _time.perf_counter()
-            for i, (nid, data) in enumerate(schedule):
-                fid = f"file-{i}"
-                files[fid] = data
-                cluster.ingest_file(nid, fid, data)
-            ingest_s = _time.perf_counter() - t0
-            total_mb = sum(len(d) for d in files.values()) / 1e6
-            print(f"ingest: {len(files)} files, {total_mb:.2f} MB in "
-                  f"{ingest_s:.3f}s ({total_mb / max(ingest_s, 1e-9):.1f} MB/s)")
+            under_replicated = cluster.tier.under_replicated_stripes
+            print(f"recovery: rebuilt {rebuilt} shards, "
+                  f"under_replicated_stripes={under_replicated}")
 
-            for z in range(args.fail_zones):
-                cluster.fail_zone(z)
-            if args.fail_zones:
-                print(f"faults: failed zones {list(range(args.fail_zones))}")
-            if args.evict_edge:
-                evicted = sum(r.content.clear() for r in cluster.rings)
-                print(f"faults: evicted {evicted} edge payload copies")
+        if args.metrics_json:
+            count = cluster.metrics_hub().dump_json(args.metrics_json)
+            print(f"metrics: wrote {count} series to {args.metrics_json}")
 
-            swept_ok = True
-            if args.delete:
-                doomed = sorted(files)[: args.delete]
-                for fid in doomed:
-                    cluster.delete_file(fid)
-                    del files[fid]
-                sweep = cluster.gc_sweep()
-                swept_ok = sweep.orphans_adopted == 0
-                print(f"gc: deleted {len(doomed)} files, swept {sweep.swept} "
-                      f"chunks, reclaimed {sweep.reclaimed_payload_bytes} "
-                      f"payload bytes, orphans={sweep.orphans_adopted}")
-
-            mismatches = 0
-            restore_mb = 0.0
-            t1 = _time.perf_counter()
-            for fid, data in files.items():
-                out = cluster.restore_file(fid)
-                restore_mb += len(out) / 1e6
-                if out != data:
-                    mismatches += 1
-            restore_s = _time.perf_counter() - t1
-            mode = "degraded" if (args.fail_zones or args.evict_edge) else "healthy"
-            print(f"restore: {len(files)} files, {restore_mb:.2f} MB in "
-                  f"{restore_s:.3f}s ({restore_mb / max(restore_s, 1e-9):.1f} MB/s, "
-                  f"{mode}), mismatches={mismatches}")
-
-            under_replicated = 0
-            if args.fail_zones:
-                rebuilt = sum(
-                    cluster.recover_zone(z) for z in range(args.fail_zones)
-                )
-                under_replicated = cluster.tier.under_replicated_stripes
-                print(f"recovery: rebuilt {rebuilt} shards, "
-                      f"under_replicated_stripes={under_replicated}")
-
-            if args.metrics_json:
-                count = cluster.metrics_hub().dump_json(args.metrics_json)
-                print(f"metrics: wrote {count} series to {args.metrics_json}")
-
-            ok = mismatches == 0 and under_replicated == 0 and swept_ok
-            if args.check and not ok:
-                print("restore: FAIL — "
-                      f"mismatches={mismatches} "
-                      f"under_replicated={under_replicated} "
-                      f"sweep_clean={swept_ok}", file=sys.stderr)
-                return 1
-            print("restore: PASS — every file restored byte-exactly"
-                  if ok else "restore: done (use --check to gate on it)")
-            return 0
-        finally:
-            cluster.shutdown()
+        ok = mismatches == 0 and under_replicated == 0 and swept_ok
+        if args.check and not ok:
+            print("restore: FAIL — "
+                  f"mismatches={mismatches} "
+                  f"under_replicated={under_replicated} "
+                  f"sweep_clean={swept_ok}", file=sys.stderr)
+            return 1
+        print("restore: PASS — every file restored byte-exactly"
+              if ok else "restore: done (use --check to gate on it)")
+        return 0
 
 
 def _grouped_sample_files(

@@ -29,6 +29,11 @@ from typing import Iterator
 from repro.loadgen.identity import IdentityPool
 from repro.loadgen.seeding import derive_seed
 
+# Every generated key starts with this marker. Ring-index fingerprints are
+# hex digests, so the prefix separates synthetic claims from real chunks
+# when an invariant compares the index against the cloud's stored set.
+KEY_PREFIX = "fp-"
+
 
 class ZipfSampler:
     """Draw ranks ``0..n-1`` with P(rank k) ∝ 1/(k+1)**s.
@@ -116,7 +121,7 @@ class ZipfWorkload:
             source = self._sources.sample(rng)
             agent = self.pool.agent(source, rng.randrange(1 << 30))
             keys = tuple(
-                f"fp-{self.namespace}-{source:04d}-{self._keys.sample(rng):08d}"
+                f"{KEY_PREFIX}{self.namespace}-{source:04d}-{self._keys.sample(rng):08d}"
                 for _ in range(self.batch)
             )
             yield LoadRequest(

@@ -1,23 +1,25 @@
 """Tests for the chaos harness: scenario construction, the invariant
 checker, and one full seeded crash-restart run against a live ring."""
 
+import json
+
 import pytest
 
 from repro.chaos import (
+    FAULT_SCHEDULES,
+    SCENARIOS,
+    ChaosReport,
     ChaosScenario,
     FaultEvent,
-    SCENARIOS,
     check_invariants,
     crash_restart,
     flapping,
-    get_scenario,
     partition_heal,
     rolling_restart,
-    run_migration_scenario,
     run_scenario,
     seeded_pool_workload,
 )
-from repro.chaos.migration_scenario import default_migration_partitions
+from repro.chaos.protocols import default_migration_partitions
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 
@@ -45,17 +47,17 @@ class TestScenarios:
         assert partition_heal().min_nodes == 2
 
     def test_every_builtin_heals_what_it_breaks(self):
-        for name in SCENARIOS:
-            scenario = get_scenario(name, 4)
+        for name, make in FAULT_SCHEDULES.items():
+            scenario = make(4)
             downs = sum(1 for e in scenario.events if e.action in ("kill", "isolate"))
             ups = sum(1 for e in scenario.events if e.action in ("restart", "heal"))
             assert downs == ups, name
 
     def test_get_scenario_rejects_unknown_and_small_rings(self):
         with pytest.raises(KeyError, match="unknown scenario"):
-            get_scenario("meteor-strike", 3)
+            run_scenario("meteor-strike", nodes=3)
         with pytest.raises(ValueError, match="nodes"):
-            get_scenario("rolling-restart", 1)
+            run_scenario("rolling-restart", nodes=1)
 
     def test_flapping_cycle_count(self):
         assert len(flapping(cycles=4).events) == 8
@@ -88,7 +90,8 @@ class TestInvariantChecker:
         for node_id, files in workload.items():
             for data in files:
                 ring.agent(node_id).ingest(data)
-        report = check_invariants(ring)
+        report = ChaosReport("clean", seed=3, nodes=3)
+        check_invariants(ring, report)
         assert report.passed
         assert report.violations == []
         assert set(report.checks) >= {
@@ -105,15 +108,19 @@ class TestInvariantChecker:
         )
         ring.agent("a").ingest(b"x" * 8192)
         ring.cloud._chunks.popitem()  # silently lose one stored chunk
-        report = check_invariants(ring)
+        report = ChaosReport("lost-upload", seed=0, nodes=2)
+        check_invariants(ring, report)
         assert not report.passed
         assert any("no_unique_chunk_lost" in v for v in report.violations)
 
     def test_report_serializes(self):
         ring = D2Ring("t-0", ["a", "b"], config=EFDedupConfig(chunk_size=4096))
-        doc = check_invariants(ring).as_dict()
+        report = ChaosReport("serialize", seed=0, nodes=2)
+        check_invariants(ring, report)
+        doc = report.as_dict()
         assert doc["passed"] is True
         assert isinstance(doc["checks"], dict)
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestRunScenario:
@@ -123,14 +130,15 @@ class TestRunScenario:
             seed=11, data_dir=tmp_path,
         )
         assert report.passed
-        assert report.invariants.violations == []
+        assert report.violations == []
+        assert report.checks["ratio_matches_baseline"]
         assert report.dedup_ratio == report.baseline_ratio > 1.0
         assert report.events_fired == [
             "kill:edge-1@0.25", "restart:edge-1@0.60",
         ]
         assert len(report.recovery_times_s) == 1
         # The killed member really came back from its WAL.
-        wal = report.wal_stats["edge-1"]
+        wal = report.detail["wal_stats"]["edge-1"]
         assert wal["log_entries_replayed"] + wal["snapshot_entries_loaded"] > 0
         doc = report.as_dict()
         assert doc["passed"] is True
@@ -167,36 +175,37 @@ class TestMigrationScenario:
             default_migration_partitions(3)
 
     def test_migrate_under_faults_matches_fault_free_migration(self):
-        report = run_migration_scenario(seed=7)
+        report = run_scenario("migrate-under-faults", seed=7)
         assert report.passed
-        assert report.state == "COMMITTED"
+        assert report.checks["migration_committed"]
         assert report.dedup_ratio == report.baseline_ratio > 1.0
         assert report.events_fired == [
             "kill:edge-0@window-open", "restart:edge-0@window-mid",
         ]
-        assert report.recovery_time_s > 0
-        assert report.migration["migration.nodes_moved"] == 1.0
-        assert report.migration["migration.entries_streamed"] > 0
+        assert len(report.recovery_times_s) == 1
+        assert report.recovery_times_s[0] > 0
+        assert report.metrics["migration.nodes_moved"] == 1.0
+        assert report.metrics["migration.entries_streamed"] > 0
         doc = report.as_dict()
         assert doc["passed"] is True
         assert doc["scenario"] == "migrate-under-faults"
 
     def test_gamma_floor_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
-            run_migration_scenario(gamma=1)
+            run_scenario("migrate-under-faults", gamma=1)
 
 
 class TestHotIndexScenario:
     def test_hot_slice_migration_matches_migration_free_twin(self):
-        from repro.chaos import run_hotindex_scenario
-
-        report = run_hotindex_scenario(seed=7)
+        report = run_scenario("hot-index", seed=7)
         assert report.passed
-        assert report.state == "COMMITTED"
+        assert report.checks["migration_committed"]
         assert report.dedup_ratio == report.baseline_ratio > 1.0
-        assert report.edge_hits > 0  # hot claims answered at the edge
-        assert report.entries_streamed > 0
-        assert report.entries_restreamed > 0  # swept-then-reuploaded keys
+        # hot claims answered at the edge
+        assert report.metrics["secure.hotindex.edge_hits"] > 0
+        assert report.metrics["secure.hotindex.entries_streamed"] > 0
+        # swept-then-reuploaded keys
+        assert report.metrics["secure.hotindex.entries_restreamed"] > 0
         assert report.events_fired == [
             "migrate:window-open",
             "sweep:victim@window-mid",
@@ -208,7 +217,30 @@ class TestHotIndexScenario:
         assert doc["scenario"] == "hot-index"
 
     def test_node_count_validated(self):
-        from repro.chaos import run_hotindex_scenario
-
+        with pytest.raises(ValueError, match="nodes"):
+            run_scenario("hot-index", nodes=3)
         with pytest.raises(ValueError, match="even node count"):
-            run_hotindex_scenario(nodes=3)
+            run_scenario("hot-index", nodes=5)
+
+
+class TestEveryRegisteredScenario:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_cli_run_passes_with_the_one_report_shape(self, name, tmp_path):
+        from repro.cli import main as cli_main
+
+        path = tmp_path / f"{name}.json"
+        argv = ["chaos", name, "--json", str(path), "--files", "2", "--file-kb", "8"]
+        if name == "overload":
+            argv += ["--duration-s", "0.3"]
+        assert cli_main(argv) == 0
+        doc = json.loads(path.read_text())
+        assert doc["scenario"] == name
+        assert doc["passed"] is True
+        assert doc["checks"] and all(doc["checks"].values())
+        assert doc["violations"] == []
+        assert isinstance(doc["events_fired"], list)
+        assert doc["dedup_ratio"] > 1.0
+        assert "baseline_ratio" in doc
+        if SCENARIOS[name].baseline is not None:
+            assert doc["checks"]["ratio_matches_baseline"]
+            assert doc["baseline_ratio"] == doc["dedup_ratio"]

@@ -175,7 +175,7 @@ class TestCLI:
         rc = cli_main(["chaos", "hot-index", "--json", str(report)])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "state=COMMITTED" in out
+        assert "ok  migration_committed" in out
         assert "chaos: PASS" in out
         assert report.exists()
 

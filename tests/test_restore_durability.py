@@ -14,7 +14,7 @@ The claims under test, in increasing order of violence:
 
 import pytest
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
+from repro.chaos import round_robin, seeded_pool_workload
 from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, grouped_sources
 from repro.dedup.recipes import RecipeError
@@ -64,7 +64,7 @@ def make_cluster(tmp_path, transport="asyncio", spill_mode="sync", nodes=NODES, 
 
 def ingest_files(cluster, files_per_node=2, file_kb=16, seed=7, tag="f"):
     files = {}
-    schedule = _round_robin(
+    schedule = round_robin(
         seeded_pool_workload(NODES, files_per_node, file_kb, seed=seed)
     )
     for i, (nid, data) in enumerate(schedule):
@@ -297,9 +297,48 @@ class TestChunkRpcOps:
 
 class TestRestoreChaosScenario:
     def test_scenario_passes(self):
-        from repro.chaos import run_restore_scenario
+        from repro.chaos import run_scenario
 
-        report = run_restore_scenario(nodes=3, files_per_node=2, file_kb=8)
+        report = run_scenario(
+            "restore-under-zone-failure", nodes=3, files_per_node=2, file_kb=8
+        )
         assert report.passed, report.as_dict()
-        assert report.degraded_stripes_seen > 0  # ingest happened degraded
-        assert report.chunks_swept > 0
+        # ingest happened degraded
+        assert report.metrics["degraded_stripes_seen"] > 0
+        assert report.metrics["chunks_swept"] > 0
+
+    def test_verdict_tells_corrupt_from_missing(self, tmp_path):
+        """A chunk whose edge bytes were overwritten fails fingerprint
+        verification (corrupt); a chunk gone from edge and tier is
+        missing. Neither is a mismatch, and neither aborts the sweep."""
+        from repro.chaos.protocols import restore_verdict
+
+        cluster = make_cluster(tmp_path, transport="inproc")
+        try:
+            files = ingest_files(cluster)
+            fid = sorted(files)[0]
+            fp = cluster.recipes.get(fid).entries[0].fingerprint
+            shelves = [
+                shelf
+                for ring in cluster.rings
+                for shelf in ring.content._shelves.values()
+                if fp in shelf
+            ]
+            assert shelves
+            good = shelves[0][fp]
+            for shelf in shelves:
+                shelf[fp] = bytes(b ^ 0xFF for b in good)  # same length
+
+            verdict = restore_verdict(cluster, files)
+            assert fid in verdict["corrupt"]
+            assert verdict["missing"] == verdict["mismatch"] == []
+            assert len(verdict["exact"]) + len(verdict["corrupt"]) == len(files)
+
+            for ring in cluster.rings:
+                ring.content.delete_many([fp])
+            assert cluster.tier.delete_chunk(fp)
+            verdict = restore_verdict(cluster, files)
+            assert fid in verdict["missing"]
+            assert verdict["corrupt"] == verdict["mismatch"] == []
+        finally:
+            cluster.shutdown()
