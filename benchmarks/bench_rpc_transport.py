@@ -6,7 +6,7 @@ Two entry points:
   batched fingerprint round over a 3-node cluster — a smoke check that the
   transport works at benchmark scale;
 - as a script (``python benchmarks/bench_rpc_transport.py``) it measures
-  message round-trip latency (per available codec) and serial (batch=1)
+  message round-trip latency and serial (batch=1)
   versus batched fingerprint-claim throughput, then writes
   ``BENCH_rpc.json`` at the repo root. Batching must win — PR 1's
   per-round-trip accounting says a batch of B keys costs ~2 scatter
@@ -22,24 +22,22 @@ import time
 from pathlib import Path
 
 from repro.rpc.cluster import LiveKVCluster
-from repro.rpc.framing import available_codecs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NODE_IDS = ["edge-0", "edge-1", "edge-2"]
 
 
-def _cluster(codec: str | None = None) -> LiveKVCluster:
-    return LiveKVCluster(NODE_IDS, replication_factor=2, codec=codec, timeout_s=2.0)
+def _cluster() -> LiveKVCluster:
+    return LiveKVCluster(NODE_IDS, replication_factor=2, timeout_s=2.0)
 
 
-def bench_rtt(codec: str, pings: int) -> dict:
+def bench_rtt(pings: int) -> dict:
     """Round-trip ``pings`` ping frames per node; report RTT percentiles."""
-    with _cluster(codec) as cluster:
+    with _cluster() as cluster:
         for _ in range(pings):
             cluster.store.ping_all()
         rtt = cluster.client.rtt
         return {
-            "codec": codec,
             "pings": rtt.count,
             "rtt_mean_us": round(rtt.mean * 1e6, 1),
             "rtt_p50_us": round(rtt.percentile(50) * 1e6, 1),
@@ -73,12 +71,9 @@ def bench_claims(n_keys: int, batch: int) -> dict:
 
 
 def run(n_keys: int, pings: int, big_batch: int) -> dict:
-    rtts = []
-    for codec in sorted(available_codecs()):
-        entry = bench_rtt(codec, pings)
-        rtts.append(entry)
-        print(f"rtt  {codec:8s}: mean {entry['rtt_mean_us']:7.1f}us  "
-              f"p50 {entry['rtt_p50_us']:7.1f}us  p99 {entry['rtt_p99_us']:7.1f}us")
+    rtt = bench_rtt(pings)
+    print(f"rtt: mean {rtt['rtt_mean_us']:7.1f}us  "
+          f"p50 {rtt['rtt_p50_us']:7.1f}us  p99 {rtt['rtt_p99_us']:7.1f}us")
 
     serial = bench_claims(n_keys, batch=1)
     batched = bench_claims(n_keys, batch=big_batch)
@@ -90,7 +85,7 @@ def run(n_keys: int, pings: int, big_batch: int) -> dict:
     return {
         "nodes": len(NODE_IDS),
         "replication_factor": 2,
-        "rtt": rtts,
+        "rtt": [rtt],
         "serial": serial,
         "batched": batched,
         "batching_speedup": speedup,

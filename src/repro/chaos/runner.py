@@ -163,7 +163,6 @@ def _run_fault_schedule(
             replication_factor=run.gamma,
             lookup_batch=run.lookup_batch,
             transport="asyncio",
-            rpc_codec=run.codec,
             data_dir=str(run.data_dir or tmp),
             heartbeat_interval_s=run.heartbeat_interval_s,
         ),

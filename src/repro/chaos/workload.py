@@ -96,9 +96,8 @@ class ScenarioRun:
     ``data_dir`` holds the ring scenarios' WALs and the restore scenario's
     refcount journal (a temp dir when ``None``); ``heartbeat_interval_s``
     > 0 leaves crash detection of the ring scenarios to the phi-accrual
-    prober; ``codec`` overrides their wire codec. ``knee_rps`` and
-    ``duration_s`` shape the overload steps, ``hot_size`` the hot-index
-    slice.
+    prober. ``knee_rps`` and ``duration_s`` shape the overload steps,
+    ``hot_size`` the hot-index slice.
     """
 
     nodes: int
@@ -109,7 +108,6 @@ class ScenarioRun:
     lookup_batch: int = 16
     data_dir: Optional[Union[str, Path]] = None
     heartbeat_interval_s: float = 0.0
-    codec: Optional[str] = None
     knee_rps: float = 400.0
     duration_s: float = 0.6
     hot_size: int = 64

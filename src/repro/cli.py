@@ -188,10 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "mark-down)",
     )
     chaos.add_argument(
-        "--codec", default=None,
-        help="wire codec (default: msgpack if installed, else json)",
-    )
-    chaos.add_argument(
         "--json", default=None, metavar="PATH", dest="report_json",
         help="also write the full chaos report as JSON",
     )
@@ -413,10 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--gamma", type=int, default=2, help="replication factor")
     loadgen.add_argument("--seed", type=int, default=7, help="workload seed")
     loadgen.add_argument(
-        "--codec", default=None,
-        help="wire codec (default: msgpack if installed, else json)",
-    )
-    loadgen.add_argument(
         "--timeout-ms", type=float, default=2000.0,
         help="per-attempt RPC timeout (default 2000 — saturation queues)",
     )
@@ -457,9 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--batch", type=int, default=16, help="fingerprints per batched lookup"
         )
         live.add_argument("--seed", type=int, default=7, help="dataset seed")
-        live.add_argument(
-            "--codec", default=None, help="wire codec (default: msgpack if installed, else json)"
-        )
         live.add_argument(
             "--cache", type=int, default=0, metavar="N",
             help="front each agent with an N-entry LRU presence cache",
@@ -601,7 +590,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
             transport=transport,
             rpc_timeout_s=args.timeout_ms / 1e3,
             rpc_attempts=args.attempts,
-            rpc_codec=args.codec,
             cache_capacity=args.cache,
         )
 
@@ -620,7 +608,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         tracer = Tracer()
 
     print(f"booting {args.nodes}-node asyncio ring (gamma={args.gamma}, "
-          f"batch={args.batch}, codec={args.codec or 'auto'})")
+          f"batch={args.batch})")
     with D2Ring(
         "live-0", members, config=build_config("asyncio"),
         fault_injector=injector, tracer=tracer,
@@ -696,7 +684,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         lookup_batch=args.batch,
         data_dir=args.data_dir,
         heartbeat_interval_s=args.heartbeat_ms / 1e3,
-        codec=args.codec,
         knee_rps=args.knee_rps,
         duration_s=args.duration_s,
         hot_size=args.hot_size,
@@ -1198,7 +1185,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         with LiveKVCluster(
             node_ids,
             replication_factor=args.gamma,
-            codec=args.codec,
             timeout_s=args.timeout_ms / 1e3,
             retry=RetryPolicy(attempts=3),
         ) as cluster:
@@ -1229,7 +1215,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     with LiveKVCluster(
         node_ids,
         replication_factor=args.gamma,
-        codec=args.codec,
         timeout_s=args.timeout_ms / 1e3,
         retry=RetryPolicy(attempts=3),
     ) as cluster:

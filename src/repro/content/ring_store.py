@@ -9,25 +9,25 @@ the edge shelf is the *fast* tier; durability belongs to the
 erasure-coded cloud tier behind
 :class:`~repro.content.plane.ContentPlane`.
 
-Writes are buffered and flushed as **one batched message per target
-node** (the payload sibling of ``put_if_absent_many``): over the live
-transport that is a single ``put_chunks`` RPC with base64 payloads in
-the length-prefixed framing; in-process it is a dict update on the
-member's shelf. Reads scatter one batched ``get_chunks`` to every alive
-member and take the first copy found. Down or unreachable members are
-misses, never errors.
+The shelves themselves are the members'
+:class:`~repro.kvstore.node.StorageNode` shelves; this class only buffers
+and routes, through the payload operations of the ring's replica
+coordinator (``scatter_put_chunks``, ``scatter_get_chunks``, ...). Either
+driver runs them: the in-process
+:class:`~repro.kvstore.store.DistributedKVStore` calls the nodes directly,
+the asyncio :class:`~repro.rpc.remote_store.RemoteKVStore` sends one RPC
+per node whose payloads travel raw in the frame's tail.
 
-Placement and membership come from the ring's replica coordinator, with
-either driver. With the in-process
-:class:`~repro.kvstore.store.DistributedKVStore` the shelves are held here
-(in-process nodes have no server); with the asyncio
-:class:`~repro.rpc.remote_store.RemoteKVStore` they live in each
-:class:`~repro.rpc.server.NodeServer` and this class only routes, through
-the driver's payload scatter.
+Writes are buffered and flushed as **one batched ``put_chunks`` message
+per target node** (the payload sibling of ``put_if_absent_many``). Reads
+scatter one batched ``get_chunks`` to every alive member and take the
+first copy found. Down or unreachable members are misses, never errors,
+and a down member keeps its copies through ``delete_many`` and ``clear``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from repro.content.base import ContentStats
@@ -38,9 +38,9 @@ class RingContentStore:
 
     Args:
         ring_id: owning ring (labels metrics).
-        store: the ring's fingerprint-index store; provides placement
-            (``replicas_for``), membership (``nodes``) and — when it is a
-            ``RemoteKVStore`` — the chunk RPC surface.
+        store: the ring's fingerprint-index store (either coordinator
+            driver); provides placement (``replicas_for``), membership
+            (``nodes``) and the payload scatter.
         batch_size: buffered puts per automatic flush.
     """
 
@@ -51,13 +51,7 @@ class RingContentStore:
         self.store = store
         self.batch_size = batch_size
         self.stats = ContentStats()
-        self._live = hasattr(store, "scatter_put_chunks")
         self._pending: dict[str, bytes] = {}
-        # In-process backend: per-member shelves live client-side (there
-        # is no server process to hold them).
-        self._shelves: Optional[dict[str, dict[str, bytes]]] = (
-            None if self._live else {nid: {} for nid in store.nodes}
-        )
 
     # ------------------------------------------------------------------ #
     # placement
@@ -115,27 +109,19 @@ class RingContentStore:
                 self.stats.dropped_puts += 1
                 continue
             groups.setdefault(target, []).append((fingerprint, data))
+        if not groups:
+            return 0
         flushed = 0
-        if self._live:
-            failures = self.store.scatter_put_chunks(groups)
-            for node_id, entries in groups.items():
-                if failures.get(node_id) is None:
-                    for _, data in entries:
-                        self.stats.puts += 1
-                        self.stats.put_bytes += len(data)
-                        flushed += 1
-                else:
-                    self.stats.dropped_puts += len(entries)
-        else:
-            for node_id, entries in groups.items():
-                shelf = self._shelves.setdefault(node_id, {})
-                for fingerprint, data in entries:
-                    shelf[fingerprint] = data
+        failures = self.store.scatter_put_chunks(groups)
+        for node_id, entries in groups.items():
+            if failures.get(node_id) is None:
+                for _, data in entries:
                     self.stats.puts += 1
                     self.stats.put_bytes += len(data)
                     flushed += 1
-        if groups:
-            self.stats.batch_flushes += len(groups)
+            else:
+                self.stats.dropped_puts += len(entries)
+        self.stats.batch_flushes += len(groups)
         return flushed
 
     # ------------------------------------------------------------------ #
@@ -159,19 +145,11 @@ class RingContentStore:
         alive = [nid for nid in self.members() if self._is_up(nid)]
         found: dict[str, bytes] = {}
         if alive and wanted:
-            if self._live:
-                by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
-            else:
-                by_node = {
-                    n: {fp: self._shelves.get(n, {}).get(fp) for fp in wanted}
-                    for n in alive
-                }
+            by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
             for fingerprint in wanted:
-                # Placement order first so the primary's copy wins.
-                ordered = [
-                    n for n in self.store.replicas_for(fingerprint) if n in by_node
-                ] + [n for n in alive if n not in self.store.replicas_for(fingerprint)]
-                for node_id in ordered:
+                # Placement order first so the primary's copy wins; then
+                # any other member (a rehomed or migrated copy).
+                for node_id in chain(self.store.replicas_for(fingerprint), alive):
                     data = by_node.get(node_id, {}).get(fingerprint)
                     if data is not None:
                         found[fingerprint] = data
@@ -199,58 +177,35 @@ class RingContentStore:
         self.flush()
         for fingerprint in fingerprints:
             self._pending.pop(fingerprint, None)
-        copies = 0
-        freed = 0
-        if self._live:
-            copies, freed = self.store.scatter_delete_chunks(
-                self.members(), list(fingerprints)
-            )
-        else:
-            for shelf in self._shelves.values():
-                for fingerprint in fingerprints:
-                    data = shelf.pop(fingerprint, None)
-                    if data is not None:
-                        copies += 1
-                        freed += len(data)
+        copies, freed = self.store.scatter_delete_chunks(self.members(), fingerprints)
         self.stats.deletes += copies
         self.stats.deleted_bytes += freed
         return copies, freed
 
     def clear(self) -> int:
         """Evict every edge copy (degraded-restore drills: forces the read
-        path through k-of-n reconstruction at the cloud tier)."""
+        path through k-of-n reconstruction at the cloud tier). A down
+        member keeps its copies, as for :meth:`delete_many`."""
         self.flush()
         evicted = 0
-        if self._live:
-            for node_id in self.members():
-                keys = self.store.node_chunk_keys(node_id)
-                if keys:
-                    copies, _ = self.store.scatter_delete_chunks([node_id], keys)
-                    evicted += copies
-        else:
-            for shelf in self._shelves.values():
-                evicted += len(shelf)
-                shelf.clear()
+        for node_id in self.members():
+            keys = self.store.node_chunk_keys(node_id)
+            if keys:
+                copies, _ = self.store.scatter_delete_chunks([node_id], keys)
+                evicted += copies
         return evicted
 
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
 
-    def add_member(self, node_id: str) -> None:
-        if self._shelves is not None:
-            self._shelves.setdefault(node_id, {})
-
     def rehome_member(self, node_id: str) -> int:
         """Move a departing member's payloads to their new owners (called
         before the node leaves the index ring, so placement still knows
         it). Unreachable member → nothing to move; the cloud tier covers
-        its chunks."""
+        its chunks. The departing shelf itself leaves with the member."""
         self.flush()
-        if self._live:
-            moving = self.store.node_chunk_dump(node_id)
-        else:
-            moving = self._shelves.pop(node_id, {})
+        moving = self.store.node_chunk_dump(node_id)
         rehomed = 0
         groups: dict[str, list[tuple[str, bytes]]] = {}
         for fingerprint, data in moving.items():
@@ -260,12 +215,8 @@ class RingContentStore:
                 continue
             groups.setdefault(target, []).append((fingerprint, data))
             rehomed += 1
-        if self._live:
-            if groups:
-                self.store.scatter_put_chunks(groups)
-        else:
-            for target, entries in groups.items():
-                self._shelves.setdefault(target, {}).update(dict(entries))
+        if groups:
+            self.store.scatter_put_chunks(groups)
         self.stats.rehomed_chunks += rehomed
         return rehomed
 
@@ -273,18 +224,12 @@ class RingContentStore:
         """Every member's shelf contents (operator flow; migration carry
         uses it to move a dissolving ring's payloads to the new topology)."""
         self.flush()
-        if self._live:
-            return {nid: self.store.node_chunk_dump(nid) for nid in self.members()}
-        return {nid: dict(shelf) for nid, shelf in self._shelves.items()}
+        return {nid: self.store.node_chunk_dump(nid) for nid in self.members()}
 
     def fingerprints(self) -> frozenset[str]:
         out: set[str] = set(self._pending)
-        if self._live:
-            for node_id in self.members():
-                out.update(self.store.node_chunk_keys(node_id))
-        else:
-            for shelf in self._shelves.values():
-                out.update(shelf)
+        for node_id in self.members():
+            out.update(self.store.node_chunk_keys(node_id))
         return frozenset(out)
 
     def snapshot(self) -> dict[str, float]:

@@ -5,14 +5,17 @@ EF-dedup agent on node X always coordinates from X, which is what makes
 the local/remote lookup split of Eq. 2 observable. This module owns all of
 the coordinator's logic — placement, quorum routing, the down set, hint
 buffering and replay, degraded-key recovery repair, read repair, batched
-check-and-set, the ``ts_bound`` probe, membership streaming and migration
-streaming — and none of its I/O.
+check-and-set, the ``ts_bound`` probe, membership streaming, migration
+streaming and the payload-shelf scatter of the content plane — and none of
+its I/O.
 
 Every operation is a generator. It yields :class:`Step` scatters, one
 message per named replica, using the replica operations of
 :class:`~repro.kvstore.node.StorageNode` (``multi_get``, ``multi_put``,
 ``dump``, ``key_count``, ``fetch_range``, ``merkle_tree``,
-``repair_range``, ``set_down``). A driver executes each step and sends back
+``repair_range``, ``set_down`` and the payload ops ``put_chunks``,
+``get_chunks``, ``delete_chunks``, ``chunk_keys``, ``chunk_dump``). A
+driver executes each step and sends back
 ``{node_id: reply_or_exception}``; the generator folds the replies into
 :class:`StoreStats` and its result. Two drivers exist:
 
@@ -51,6 +54,10 @@ Semantics (identical on both drivers):
   the departing member's entries and voids its hints.
 - Contacts are recorded once per distinct coordinator→replica pair of a
   batched call; ``batch_rounds`` counts batched calls.
+- Payload-shelf ops treat a down or unreachable member as a miss, never a
+  failure: a down member refuses ``put_chunks``/``get_chunks``/
+  ``delete_chunks`` (so it keeps its copies through a delete) and still
+  answers ``chunk_keys``/``chunk_dump``.
 """
 
 from __future__ import annotations
@@ -758,10 +765,9 @@ class ReplicaCoordinator:
         caller computes a moved node's primary ranges with
         :meth:`~repro.kvstore.hashring.ConsistentHashRing.primary_token_ranges`
         and feeds the rows to the destination store's
-        :meth:`ingest_entries`. Token bounds travel as decimal strings (they
-        overflow msgpack's 64-bit integers).
+        :meth:`ingest_entries`.
         """
-        wire = [[str(lo), str(hi)] for lo, hi in ranges]
+        wire = [[lo, hi] for lo, hi in ranges]
         replies = self._tolerate(
             (yield Step("fetch_range", {n: {"ranges": wire} for n in self.alive_nodes()}))
         )
@@ -804,6 +810,77 @@ class ReplicaCoordinator:
         return applied
 
     ingest_entries = operation(_ingest_entries)
+
+    # ------------------------------------------------------------------ #
+    # payload shelf (content plane)
+    # ------------------------------------------------------------------ #
+    #
+    # The edge copy is a locality cache and the erasure-coded cloud tier is
+    # the durable tier, so every payload op tolerates missed acks: a down or
+    # unreachable member is a miss, not a failure.
+
+    def _scatter(self, method: str, calls: dict[str, dict]) -> Steps:
+        """One call per node; node id → result, or the ``unreachable``
+        error of a node that could not serve it (other failures raise)."""
+        return self._tolerate((yield Step(method, calls)))
+
+    def _scatter_put_chunks(self, groups: dict[str, list[tuple[str, bytes]]]) -> Steps:
+        """One batched ``put_chunks`` per target node (the payload sibling
+        of the ``put_if_absent_many`` scatter); returns node id →
+        error-or-None."""
+        replies = yield from self._scatter(
+            "put_chunks", {n: {"entries": entries} for n, entries in groups.items()}
+        )
+        return {
+            n: reply if isinstance(reply, BaseException) else None
+            for n, reply in replies.items()
+        }
+
+    scatter_put_chunks = operation(_scatter_put_chunks)
+
+    def _scatter_get_chunks(self, groups: dict[str, list[str]]) -> Steps:
+        """One batched ``get_chunks`` per node: node id → fingerprint →
+        bytes or None; an unreachable node yields {} (every fingerprint a
+        miss)."""
+        replies = yield from self._scatter(
+            "get_chunks", {n: {"fingerprints": fps} for n, fps in groups.items()}
+        )
+        return {
+            n: {} if isinstance(reply, BaseException) else reply["chunks"]
+            for n, reply in replies.items()
+        }
+
+    scatter_get_chunks = operation(_scatter_get_chunks)
+
+    def _scatter_delete_chunks(
+        self, node_ids: Iterable[str], fingerprints: Iterable[str]
+    ) -> Steps:
+        """Drop fingerprints from every named node; returns (copies
+        deleted, bytes freed) across the nodes that served the delete."""
+        fps = list(fingerprints)
+        replies = yield from self._scatter(
+            "delete_chunks", {n: {"fingerprints": fps} for n in node_ids}
+        )
+        served = [r for r in replies.values() if not isinstance(r, BaseException)]
+        return sum(r["deleted"] for r in served), sum(r["bytes"] for r in served)
+
+    scatter_delete_chunks = operation(_scatter_delete_chunks)
+
+    def _node_chunk_keys(self, node_id: str) -> Steps:
+        """Fingerprints shelved on one node (served while the replica is
+        down; [] when it is unreachable)."""
+        reply = (yield from self._scatter("chunk_keys", {node_id: {}}))[node_id]
+        return [] if isinstance(reply, BaseException) else reply["fingerprints"]
+
+    node_chunk_keys = operation(_node_chunk_keys)
+
+    def _node_chunk_dump(self, node_id: str) -> Steps:
+        """One node's whole shelf (operator flow for rehoming and migration
+        carry; served while down, {} when unreachable)."""
+        reply = (yield from self._scatter("chunk_dump", {node_id: {}}))[node_id]
+        return {} if isinstance(reply, BaseException) else reply["chunks"]
+
+    node_chunk_dump = operation(_node_chunk_dump)
 
     # ------------------------------------------------------------------ #
     # introspection (operator views: down members included)

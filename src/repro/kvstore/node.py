@@ -2,7 +2,9 @@
 
 Each node holds its local shard of the key space in memory and has an
 up/down flag driven by failure injection. Values carry a logical timestamp
-so replicas can reconcile with last-write-wins, Cassandra-style.
+so replicas can reconcile with last-write-wins, Cassandra-style. The node
+also holds the edge payload shelf of the content plane: the bytes of the
+unique chunks whose fingerprints it owns.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ class VersionedValue(NamedTuple):
     A *tombstone* records a deletion: it participates in last-write-wins
     reconciliation like any write (so a delete beats older writes even when
     it reaches a replica late, via hints or anti-entropy) but reads treat
-    it as absence. Being a tuple, it is its own wire form: both codecs
-    encode it as the ``[value, timestamp, tombstone]`` row.
+    it as absence. Being a tuple, it is its own wire form: the framing's
+    JSON encodes it as the ``[value, timestamp, tombstone]`` row.
     """
 
     value: str
@@ -36,10 +38,12 @@ class StorageNode:
     Besides the ``local_*`` primitives, the node carries the replica-side
     operations the coordinator scatters (``multi_get``, ``multi_put``,
     ``set_down``, ``dump``, ``key_count``, ``merkle_tree``,
-    ``repair_range``, ``fetch_range``). Each takes keyword params and
-    returns a wire-ready value, so the in-process driver calls them
-    directly and :class:`~repro.rpc.server.NodeServer` serves the same
-    functions over TCP.
+    ``repair_range``, ``fetch_range``) and the payload-shelf operations
+    (``put_chunks``, ``get_chunks``, ``delete_chunks``, ``chunk_keys``,
+    ``chunk_dump``). Each takes keyword params and returns a wire-ready
+    value, so the in-process driver calls them directly and
+    :class:`~repro.rpc.server.NodeServer` serves the same functions over
+    TCP.
 
     Args:
         node_id: this member's id.
@@ -57,6 +61,11 @@ class StorageNode:
             wal.load() if wal is not None else {}
         )
         self._up = True
+        # Edge payload shelf: fingerprint → chunk bytes. In memory on
+        # purpose (and outside the WAL): the edge copy is a locality cache
+        # and the erasure-coded cloud tier is the durable one, so a crash
+        # that loses the shelf is recovered by reconstruction.
+        self.chunks: dict[str, bytes] = {}
 
     @property
     def is_up(self) -> bool:
@@ -130,6 +139,34 @@ class StorageNode:
             self.local_put(key, value, int(timestamp), tombstone=bool(tombstone))
         return {"stored": len(entries)}
 
+    def put_chunks(self, entries: list[list]) -> dict:
+        """Shelve ``[fingerprint, bytes]`` rows; counts the new ones."""
+        self._check_up()
+        stored = stored_bytes = 0
+        for fingerprint, data in entries:
+            if fingerprint not in self.chunks:
+                stored += 1
+                stored_bytes += len(data)
+            self.chunks[fingerprint] = data
+        return {"stored": stored, "bytes": stored_bytes}
+
+    def get_chunks(self, fingerprints: list[str]) -> dict:
+        """Payload per fingerprint; a missing one maps to None (the caller
+        treats it as a miss, not an error)."""
+        self._check_up()
+        shelf = self.chunks
+        return {"chunks": {fp: shelf.get(fp) for fp in fingerprints}}
+
+    def delete_chunks(self, fingerprints: list[str]) -> dict:
+        self._check_up()
+        deleted = freed = 0
+        for fingerprint in fingerprints:
+            data = self.chunks.pop(fingerprint, None)
+            if data is not None:
+                deleted += 1
+                freed += len(data)
+        return {"deleted": deleted, "bytes": freed}
+
     # ------------------------------------------------------------------ #
     # replica operations — control plane (served while down: operator views
     # and anti-entropy read the shard directly, so a recovering replica can
@@ -146,6 +183,12 @@ class StorageNode:
     def dump(self) -> dict:
         return {"entries": dict(self._data)}
 
+    def chunk_keys(self) -> dict:
+        return {"fingerprints": sorted(self.chunks)}
+
+    def chunk_dump(self) -> dict:
+        return {"chunks": dict(self.chunks)}
+
     def merkle_tree(self, depth: int = 6) -> dict:
         from repro.kvstore.repair import merkle_from_items
 
@@ -160,12 +203,11 @@ class StorageNode:
         wanted = set(buckets)
         return self._rows(lambda key: _bucket_of(key, int(depth)) in wanted)
 
-    def fetch_range(self, ranges: list[list[str]]) -> dict:
-        """Token-range scan — the ring-migration sibling of ``repair_range``.
-
-        Bounds travel as decimal strings: tokens live in [0, 2**127), which
-        overflows msgpack's 64-bit integers.
-        """
+    def fetch_range(self, ranges: list[list[int]]) -> dict:
+        """Token-range scan — the ring-migration sibling of ``repair_range``:
+        rows whose key token lies in one of the half-open ``[lo, hi)``
+        ranges (tokens live in [0, 2**127); the wire carries them as JSON
+        integers, which Python parses exactly at any size)."""
         from repro.kvstore.tokens import key_token
 
         bounds = [(int(lo), int(hi)) for lo, hi in ranges]

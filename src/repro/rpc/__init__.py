@@ -26,7 +26,6 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, FaultRule, FaultStats, SendPlan
-from repro.rpc.framing import available_codecs, default_codec_name, get_codec
 from repro.rpc.heartbeat import HeartbeatService
 from repro.rpc.messages import Request, Response
 from repro.rpc.remote_store import RemoteKVStore
@@ -53,7 +52,4 @@ __all__ = [
     "RpcTimeoutError",
     "SendPlan",
     "ServerStats",
-    "available_codecs",
-    "default_codec_name",
-    "get_codec",
 ]

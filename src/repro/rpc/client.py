@@ -34,7 +34,6 @@ from repro.kvstore.errors import NodeDownError
 from repro.rpc.errors import (
     CircuitOpenError,
     DeadlineExceededError,
-    FrameError,
     RemoteCallError,
     RpcConnectionError,
     RpcError,
@@ -42,7 +41,7 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, SendPlan
-from repro.rpc.framing import default_codec_name, encode_frame, get_codec, read_frame
+from repro.rpc.framing import JsonCodec, encode_frame, read_frame
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.overload import CONTROL_METHODS, BreakerBoard, Deadline, RetryBudget
 from repro.rpc.retry import RetryPolicy
@@ -179,7 +178,9 @@ class _Connection:
                         continue
                 if not pending.future.done():
                     pending.future.set_result(response)
-        except (OSError, FrameError) as exc:
+        except Exception as exc:
+            # A broken stream or a malformed response (FrameError): fail
+            # every pending call now instead of leaving it to its timeout.
             error = RpcConnectionError(self.node_id, str(exc))
         except asyncio.CancelledError:
             error = RpcConnectionError(self.node_id, "client closed")
@@ -224,7 +225,6 @@ class RpcClient:
 
     Args:
         addresses: node id → (host, port) of each peer's NodeServer.
-        codec: wire codec name (default: msgpack if available, else json).
         timeout_s: per-attempt response timeout.
         retry: retry schedule (default :class:`RetryPolicy`()).
         fault_injector: optional fault hook for tests/chaos runs.
@@ -249,10 +249,12 @@ class RpcClient:
     All methods must run on the event loop that owns the connections.
     """
 
+    # The wire codec (framing's one codec; frames look it up per call).
+    codec = JsonCodec
+
     def __init__(
         self,
         addresses: dict[str, tuple[str, int]],
-        codec: Optional[str] = None,
         timeout_s: float = 0.25,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -267,7 +269,6 @@ class RpcClient:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {deadline_s!r}")
         self.addresses = dict(addresses)
-        self.codec = get_codec(codec if codec is not None else default_codec_name())
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_injector = fault_injector
@@ -337,7 +338,7 @@ class RpcClient:
         request = Request(msg_id, method, params or {}, src=src, dst=dst)
         # Without a deadline the frame is immutable across attempts and
         # encoded once; with one, each attempt re-stamps the remainder.
-        frame = encode_frame(request.to_wire(), self.codec) if deadline is None else b""
+        frame = encode_frame(request.to_wire()) if deadline is None else b""
         self.stats.calls += 1
         self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
         backoffs = self.retry.backoff_delays(self._rng)
@@ -389,8 +390,7 @@ class RpcClient:
                                 Request(
                                     msg_id, method, request.params, src=src, dst=dst,
                                     deadline_s=max(deadline.remaining(), 0.0),
-                                ).to_wire(),
-                                self.codec,
+                                ).to_wire()
                             )
                         conn.send_soon(frame, delay_s=plan.delay_s, duplicate=plan.duplicate)
                     attempt_timeout = timeout

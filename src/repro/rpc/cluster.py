@@ -43,7 +43,6 @@ class LiveKVCluster:
         vnodes: virtual nodes per member.
         default_consistency: store-level default consistency.
         strategy: replica-placement override.
-        codec: wire codec name (default: msgpack if available, else json).
         timeout_s: per-attempt RPC timeout.
         retry: retry schedule (default :class:`RetryPolicy`()).
         fault_injector: optional :class:`FaultInjector` consulted on every
@@ -88,7 +87,6 @@ class LiveKVCluster:
         vnodes: int = 16,
         default_consistency: ConsistencyLevel = ConsistencyLevel.ONE,
         strategy=None,
-        codec: Optional[str] = None,
         timeout_s: float = 0.25,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -120,7 +118,6 @@ class LiveKVCluster:
         if admission_queue < 0:
             raise ValueError(f"admission_queue must be >= 0, got {admission_queue!r}")
         self.fault_injector = fault_injector
-        self._codec = codec
         self._tracer = tracer
         self._seed = seed
         self._admission_queue = int(admission_queue)
@@ -156,7 +153,6 @@ class LiveKVCluster:
             self._run(boot())
             self.client = RpcClient(
                 addresses,
-                codec=codec,
                 timeout_s=timeout_s,
                 retry=retry,
                 fault_injector=fault_injector,
@@ -211,7 +207,6 @@ class LiveKVCluster:
             )
         return NodeServer(
             node=StorageNode(node_id, wal=self._open_wal(node_id)),
-            codec=self._codec,
             tracer=self._tracer,
             admission=admission,
             service_workers=self._service_workers,

@@ -19,8 +19,9 @@ class RpcError(KVStoreError):
 
 
 class FrameError(RpcError):
-    """A wire frame was malformed: bad length prefix, unknown codec byte,
-    truncated payload, or a frame above the size limit."""
+    """A wire frame was malformed: bad length prefix, truncated body, a
+    blob table that overruns the body, a body that is not a JSON message,
+    or a frame above the size limit."""
 
 
 class RpcConnectionError(RpcError):

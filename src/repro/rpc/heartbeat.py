@@ -104,7 +104,8 @@ class HeartbeatService:
     def poll_once(self, now: Optional[float] = None) -> list[tuple[float, str, str]]:
         """Ping every member, feed the detector, sweep. Returns the
         monitor's cumulative (time, node, state) transition log."""
-        results = self.store._scatter("ping", {n: {} for n in self.store.nodes})
+        store = self.store
+        results = store._run(store._scatter("ping", {n: {} for n in store.nodes}))
         if now is None:
             now = time.monotonic()
         for node_id, result in results.items():

@@ -68,7 +68,7 @@ class Request:
             if obj["kind"] != "req":
                 raise FrameError(f"expected a request, got kind {obj['kind']!r}")
             deadline_s = obj.get("deadline_s")
-            return Request(
+            request = Request(
                 msg_id=obj["id"],
                 method=obj["method"],
                 params=obj.get("params") or {},
@@ -76,8 +76,15 @@ class Request:
                 dst=obj.get("dst"),
                 deadline_s=None if deadline_s is None else float(deadline_s),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FrameError(f"malformed request frame: {obj!r}") from exc
+        if not (
+            isinstance(request.msg_id, str)
+            and isinstance(request.method, str)
+            and isinstance(request.params, dict)
+        ):
+            raise FrameError(f"malformed request frame: {obj!r}")
+        return request
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ Synchronous facade: the store is driven by ordinary (non-async) callers —
 event-loop thread with ``run_coroutine_threadsafe``. Calling it *from* the
 loop thread would deadlock and raises immediately.
 
-What only the wire adds lives here: chunk-payload scatter, open-loop
-submission (:meth:`RemoteKVStore.submit_put_if_absent_many`), pings and
-transport counters. A call whose retries run dry raises
+What only the wire adds lives here: open-loop submission
+(:meth:`RemoteKVStore.submit_put_if_absent_many`), pings and transport
+counters. The chunk-payload scatter is a coordinator operation like the
+rest, so its steps reach each member's shelf on its
+:class:`~repro.kvstore.node.StorageNode` as ``put_chunks``/``get_chunks``
+RPCs whose payloads travel as raw bytes in the frame's tail. A call whose retries run dry raises
 :class:`~repro.rpc.errors.RpcTimeoutError` — a failure mode the in-process
 driver cannot have.
 """
@@ -25,19 +28,14 @@ driver cannot have.
 from __future__ import annotations
 
 import asyncio
-import base64
 from typing import Iterable, Optional
 
 from repro.kvstore.consistency import ConsistencyLevel
-from repro.kvstore.coordinator import ReplicaCoordinator, Step, Steps
+from repro.kvstore.coordinator import ReplicaCoordinator, Steps
 from repro.kvstore.errors import NodeDownError, NoSuchNodeError
 from repro.obs.trace import Tracer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcError
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
 
 
 class RemoteNodeHandle:
@@ -167,85 +165,6 @@ class RemoteKVStore(ReplicaCoordinator):
                 "address=(host, port)"
             )
         self._run(self._add_node(node_id, RemoteNodeHandle(node_id)))
-
-    # ------------------------------------------------------------------ #
-    # chunk payloads (content plane)
-    # ------------------------------------------------------------------ #
-    #
-    # Payload bytes travel base64-encoded inside the framed params so the
-    # JSON codec (which has no bytes type) round-trips them. Unreachable or
-    # down replicas are tolerated — the edge copy is a locality cache and
-    # the erasure-coded cloud tier is the durable tier, so a skipped node
-    # is a miss, not a failure.
-
-    def _scatter(self, method: str, calls: dict[str, dict]) -> dict:
-        """One call per node; node id → result, or the ``unreachable``
-        error of a node that could not serve it (other failures raise)."""
-
-        def steps() -> Steps:
-            return self._tolerate((yield Step(method, calls)))
-
-        return self._run(steps())
-
-    def scatter_put_chunks(
-        self, groups: dict[str, list[tuple[str, bytes]]]
-    ) -> dict[str, Optional[Exception]]:
-        """One batched ``put_chunks`` message per target node (the payload
-        sibling of the ``put_if_absent_many`` scatter); returns node id →
-        error-or-None."""
-        replies = self._scatter(
-            "put_chunks",
-            {
-                node_id: {"entries": [[fp, _b64(data)] for fp, data in entries]}
-                for node_id, entries in groups.items()
-            },
-        )
-        return {
-            node_id: reply if isinstance(reply, Exception) else None
-            for node_id, reply in replies.items()
-        }
-
-    def scatter_get_chunks(
-        self, groups: dict[str, list[str]]
-    ) -> dict[str, dict[str, Optional[bytes]]]:
-        """One batched ``get_chunks`` per node; an unreachable node yields
-        an empty mapping (every fingerprint a miss)."""
-        replies = self._scatter(
-            "get_chunks", {n: {"fingerprints": fps} for n, fps in groups.items()}
-        )
-        return {
-            node_id: {}
-            if isinstance(reply, Exception)
-            else {
-                fp: None if row is None else base64.b64decode(row)
-                for fp, row in reply["chunks"].items()
-            }
-            for node_id, reply in replies.items()
-        }
-
-    def scatter_delete_chunks(
-        self, node_ids: "Iterable[str]", fingerprints: "Iterable[str]"
-    ) -> tuple[int, int]:
-        """Drop fingerprints from every named node; returns (copies
-        deleted, bytes freed) across reachable nodes."""
-        fps = list(fingerprints)
-        replies = self._scatter("delete_chunks", {n: {"fingerprints": fps} for n in node_ids})
-        served = [r for r in replies.values() if not isinstance(r, Exception)]
-        return sum(r["deleted"] for r in served), sum(r["bytes"] for r in served)
-
-    def node_chunk_keys(self, node_id: str) -> list[str]:
-        """Fingerprints shelved on one node (control-plane: served while
-        the replica is down; [] when the process is unreachable)."""
-        reply = self._scatter("chunk_keys", {node_id: {}})[node_id]
-        return [] if isinstance(reply, Exception) else list(reply["fingerprints"])
-
-    def node_chunk_dump(self, node_id: str) -> dict[str, bytes]:
-        """Full payload shelf of one node (operator flow for rehoming and
-        migration carry; {} when the process is unreachable)."""
-        reply = self._scatter("chunk_dump", {node_id: {}})[node_id]
-        if isinstance(reply, Exception):
-            return {}
-        return {fp: base64.b64decode(row) for fp, row in reply["chunks"].items()}
 
     # ------------------------------------------------------------------ #
     # open-loop submission and transport introspection

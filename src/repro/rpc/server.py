@@ -17,11 +17,13 @@ Two server-side behaviors make retries safe:
   (bounded LRU). A retried or duplicated delivery of a request the server
   already executed returns the *original* response instead of re-executing,
   so a non-idempotent claim is never applied twice.
-- **Down-state.** ``set_down(True)`` makes data operations fail with
-  ``NodeDownError`` (the process answers, the replica refuses — a crashed
-  replica is modeled client-side by the coordinator's aliveness set).
-  Control operations (``set_down``, ``dump``, ``stats``) keep working so
-  an operator — or a test — can inspect and recover the node.
+- **Down-state.** ``set_down(True)`` makes data operations (``multi_get``,
+  ``multi_put``, ``put_chunks``, ``get_chunks``, ``delete_chunks``) fail
+  with ``NodeDownError`` (the process answers, the replica refuses — a
+  crashed replica is modeled client-side by the coordinator's aliveness
+  set). Control operations (``set_down``, ``dump``, ``chunk_keys``,
+  ``chunk_dump``, ``stats``) keep working so an operator — or a test — can
+  inspect and recover the node.
 
 Overload protection (opt-in via ``admission``): data-plane requests flow
 through a bounded queue drained by worker tasks instead of being executed
@@ -48,17 +50,18 @@ not, so each connection serializes writes behind a lock.
 
 Wire value encoding: a stored entry travels as ``[value, timestamp,
 tombstone]`` (a :class:`~repro.kvstore.node.VersionedValue` is that
-tuple); ``multi_put`` takes ``[key, value, timestamp, tombstone]`` rows.
-Fingerprints and metadata are strings, so both codecs round-trip them
-losslessly. Any exception a handler raises is answered as a failure
+tuple); ``multi_put`` takes ``[key, value, timestamp, tombstone]`` rows;
+chunk payloads are ``bytes`` values, which the framing carries raw in the
+frame's tail. Any exception a handler raises is answered as a failure
 response (the client raises it as a typed error on the first attempt), so
-a storage fault never masquerades as a network fault.
+a storage fault never masquerades as a network fault. A malformed frame —
+one framing cannot decode, or a message that is not a request — drops the
+connection and counts in ``stats.errors``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -69,7 +72,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import get_codec, read_frame, write_frame
+from repro.rpc.framing import read_frame, write_frame
 from repro.rpc.messages import Request, Response
 from repro.rpc.overload import CONTROL_METHODS, AdmissionController
 
@@ -107,8 +110,6 @@ class NodeServer:
     Args:
         node: the storage shard this server fronts (created if omitted).
         node_id: required when ``node`` is omitted.
-        codec: codec name used for *outgoing* frames (incoming frames name
-            their own codec, so mixed-codec clients are fine).
         idempotency_capacity: correlation ids remembered for replay.
         tracer: optional :class:`~repro.obs.trace.Tracer`; each handled
             request opens a ``rpc.server.<method>`` span parented on the
@@ -127,7 +128,6 @@ class NodeServer:
         self,
         node: Optional[StorageNode] = None,
         node_id: Optional[str] = None,
-        codec: Optional[str] = None,
         idempotency_capacity: int = DEFAULT_IDEMPOTENCY_CAPACITY,
         tracer: Optional[Tracer] = None,
         admission: Optional[AdmissionController] = None,
@@ -143,15 +143,6 @@ class NodeServer:
                 f"idempotency_capacity must be >= 1, got {idempotency_capacity!r}"
             )
         self.node = node
-        # Chunk-payload shelf for the content plane: fingerprint → raw
-        # bytes. In-memory on purpose — the edge copy is a locality cache;
-        # the erasure-coded cloud tier is the durable tier, so a crashed
-        # node losing its shelf is recoverable by reconstruction.
-        self.chunks: dict[str, bytes] = {}
-        self.chunk_bytes = 0
-        from repro.rpc.framing import default_codec_name
-
-        self.codec = get_codec(codec if codec is not None else default_codec_name())
         self.stats = ServerStats()
         self.handle_latency = Histogram("server.handle_s")
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -233,11 +224,12 @@ class NodeServer:
             while True:
                 try:
                     obj = await read_frame(reader)
+                    if obj is None:
+                        break
+                    request = Request.from_wire(obj)
                 except FrameError:
+                    self.stats.errors += 1
                     break  # protocol violation: drop the connection
-                if obj is None:
-                    break
-                request = Request.from_wire(obj)
                 received = time.perf_counter()
                 await self._serve(request, writer, write_lock, received)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -336,7 +328,7 @@ class NodeServer:
     ) -> None:
         try:
             async with write_lock:
-                await write_frame(writer, response.to_wire(), self.codec)
+                await write_frame(writer, response.to_wire())
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # peer went away; its retry will reconnect
 
@@ -397,74 +389,7 @@ class NodeServer:
     def _op_stats(self, params: dict) -> dict:
         return self.stats.snapshot()
 
-    # ------------------------------------------------------------------ #
-    # operations — chunk payloads (content plane)
-    # ------------------------------------------------------------------ #
-
-    def _op_put_chunks(self, params: dict) -> dict:
-        """Batched payload writes: ``entries`` is [[fingerprint, b64], ...].
-
-        Payloads travel base64-encoded so both codecs (JSON has no bytes
-        type) round-trip them losslessly.
-        """
-        self.node._check_up()
-        stored = 0
-        stored_bytes = 0
-        for fingerprint, encoded in params["entries"]:
-            data = base64.b64decode(encoded)
-            if fingerprint not in self.chunks:
-                self.chunk_bytes += len(data)
-                stored += 1
-                stored_bytes += len(data)
-            else:
-                self.chunk_bytes += len(data) - len(self.chunks[fingerprint])
-            self.chunks[fingerprint] = data
-        return {"stored": stored, "bytes": stored_bytes}
-
-    def _op_get_chunks(self, params: dict) -> dict:
-        """Batched payload reads; a missing fingerprint maps to None (the
-        caller treats it as a cache miss, not an error)."""
-        self.node._check_up()
-        out: dict[str, Optional[str]] = {}
-        for fingerprint in params["fingerprints"]:
-            data = self.chunks.get(fingerprint)
-            out[fingerprint] = None if data is None else base64.b64encode(data).decode("ascii")
-        return {"chunks": out}
-
-    def _op_delete_chunks(self, params: dict) -> dict:
-        self.node._check_up()
-        deleted = 0
-        freed = 0
-        for fingerprint in params["fingerprints"]:
-            data = self.chunks.pop(fingerprint, None)
-            if data is not None:
-                deleted += 1
-                freed += len(data)
-                self.chunk_bytes -= len(data)
-        return {"deleted": deleted, "bytes": freed}
-
-    def _op_chunk_keys(self, params: dict) -> dict:
-        # Operator view like dump: works while down, so a decommission or
-        # GC sweep can still enumerate what a refusing replica holds.
-        return {"fingerprints": sorted(self.chunks)}
-
-    def _op_chunk_dump(self, params: dict) -> dict:
-        return {
-            "chunks": {
-                fp: base64.b64encode(data).decode("ascii")
-                for fp, data in self.chunks.items()
-            }
-        }
-
-    _HANDLERS = {
-        "ping": _op_ping,
-        "put_chunks": _op_put_chunks,
-        "get_chunks": _op_get_chunks,
-        "delete_chunks": _op_delete_chunks,
-        "chunk_keys": _op_chunk_keys,
-        "chunk_dump": _op_chunk_dump,
-        "stats": _op_stats,
-    }
+    _HANDLERS = {"ping": _op_ping, "stats": _op_stats}
 
     # Replica operations the coordinator scatters: served by calling the
     # StorageNode method of the same name, exactly as the in-process driver
@@ -479,5 +404,10 @@ class NodeServer:
             "merkle_tree",
             "repair_range",
             "fetch_range",
+            "put_chunks",
+            "get_chunks",
+            "delete_chunks",
+            "chunk_keys",
+            "chunk_dump",
         }
     )

@@ -59,8 +59,6 @@ class EFDedupConfig:
         rpc_attempts: live transport only — total tries per call (1 = no
             retries); backoff/jitter come from the default
             :class:`~repro.rpc.retry.RetryPolicy` schedule.
-        rpc_codec: live transport only — wire codec name, or None to pick
-            msgpack when installed and JSON otherwise.
         cache_capacity: when > 0, each agent fronts its ring index with an
             LRU presence cache of this many fingerprints
             (:class:`~repro.dedup.cache.LRUCacheIndex`) — hot duplicates
@@ -148,7 +146,6 @@ class EFDedupConfig:
     transport: str = "inproc"
     rpc_timeout_s: float = 0.25
     rpc_attempts: int = 4
-    rpc_codec: str | None = None
     cache_capacity: int = 0
     data_dir: str | None = None
     heartbeat_interval_s: float = 0.0

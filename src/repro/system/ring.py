@@ -100,18 +100,17 @@ class D2Ring:
                 "tracer requires transport='asyncio' (spans instrument the rpc hops)"
             )
         self.tracer = tracer
-        self._live = None
+        self._live_cluster = None
         if self.config.transport == "asyncio":
             from repro.rpc.cluster import LiveKVCluster
             from repro.rpc.retry import RetryPolicy
 
-            self._live = LiveKVCluster(
+            self._live_cluster = LiveKVCluster(
                 node_ids=self.members,
                 replication_factor=self.config.replication_factor,
                 vnodes=self.config.vnodes,
                 default_consistency=self.config.consistency,
                 strategy=strategy,
-                codec=self.config.rpc_codec,
                 timeout_s=self.config.rpc_timeout_s,
                 retry=RetryPolicy(attempts=self.config.rpc_attempts),
                 fault_injector=fault_injector,
@@ -126,7 +125,7 @@ class D2Ring:
                 breaker_cooldown_s=self.config.breaker_cooldown_s,
                 retry_budget=self.config.retry_budget,
             )
-            self.store = self._live.store
+            self.store = self._live_cluster.store
         else:
             self.store = DistributedKVStore(
                 node_ids=self.members,
@@ -274,13 +273,13 @@ class D2Ring:
     @property
     def is_live(self) -> bool:
         """True when the ring's index runs over the asyncio transport."""
-        return self._live is not None
+        return self._live_cluster is not None
 
     @property
     def live_cluster(self):
         """The :class:`~repro.rpc.cluster.LiveKVCluster` behind a live ring
         (None for in-process rings)."""
-        return self._live
+        return self._live_cluster
 
     def close(self) -> None:
         """Shut down the live transport (no-op for in-process rings)."""
@@ -288,8 +287,8 @@ class D2Ring:
             self.content.flush()
         if self._content_plane is not None:
             self._content_plane.forget_ring(self.ring_id)
-        if self._live is not None:
-            self._live.close()
+        if self._live_cluster is not None:
+            self._live_cluster.close()
 
     def __enter__(self) -> "D2Ring":
         return self
@@ -588,10 +587,10 @@ class D2Ring:
                     for k, v in self.brownout_metrics().items()
                 },
             )
-        if self._live is not None:
-            client = self._live.client
-            if self._live.breakers is not None:
-                breakers = self._live.breakers
+        if self._live_cluster is not None:
+            client = self._live_cluster.client
+            if self._live_cluster.breakers is not None:
+                breakers = self._live_cluster.breakers
                 hub.register(
                     f"{prefix}rpc.breakers",
                     lambda: {"open": float(breakers.open_count)},
@@ -603,10 +602,10 @@ class D2Ring:
                 },
             )
             hub.register(f"{prefix}rpc.rtt_s", client.rtt)
-            if self._live.heartbeats is not None:
-                hub.register(f"{prefix}rpc.failure", self._live.heartbeats.snapshot)
-            if self._live.wals:
-                live = self._live
+            if self._live_cluster.heartbeats is not None:
+                hub.register(f"{prefix}rpc.failure", self._live_cluster.heartbeats.snapshot)
+            if self._live_cluster.wals:
+                live = self._live_cluster
 
                 def _wal_totals() -> dict[str, float]:
                     totals: dict[str, float] = {}
@@ -616,7 +615,7 @@ class D2Ring:
                     return totals
 
                 hub.register(f"{prefix}rpc.wal", _wal_totals)
-            for node_id, server in self._live.servers.items():
+            for node_id, server in self._live_cluster.servers.items():
                 hub.register(
                     f"{prefix}rpc.server.{node_id}",
                     lambda s=server: {
@@ -647,13 +646,11 @@ class D2Ring:
         """
         if node_id in self.agents:
             raise ValueError(f"node {node_id!r} is already in ring {self.ring_id!r}")
-        if self._live is not None:
-            self._live.add_node(node_id)
+        if self._live_cluster is not None:
+            self._live_cluster.add_node(node_id)
         else:
             self.store.add_node(node_id)
         self.members.append(node_id)
-        if self.content is not None:
-            self.content.add_member(node_id)
         self._make_agent(node_id)
 
     def remove_member(self, node_id: str) -> None:
@@ -668,8 +665,8 @@ class D2Ring:
             # Before the index forgets the node: payload rehoming needs the
             # departing member's shelf (live: its still-running server).
             self.content.rehome_member(node_id)
-        if self._live is not None:
-            self._live.remove_node(node_id)
+        if self._live_cluster is not None:
+            self._live_cluster.remove_node(node_id)
         else:
             self.store.remove_node(node_id)
         self.members.remove(node_id)
@@ -694,14 +691,14 @@ class D2Ring:
         """Live rings only: actually crash a member's replica process (its
         TCP server stops; the in-memory shard is gone, the WAL survives).
         Harsher than :meth:`fail_node`, which only flips a flag."""
-        if self._live is None:
+        if self._live_cluster is None:
             raise RuntimeError("crash_node requires transport='asyncio'")
-        self._live.kill_node(node_id, mark_down=mark_down)
+        self._live_cluster.kill_node(node_id, mark_down=mark_down)
 
     def restart_node(self, node_id: str, repair: bool = True) -> None:
         """Live rings only: restart a crashed member — WAL reload, hint
         replay, recovery read-repair, and (by default) a Merkle
         anti-entropy catch-up pass."""
-        if self._live is None:
+        if self._live_cluster is None:
             raise RuntimeError("restart_node requires transport='asyncio'")
-        self._live.restart_node(node_id, repair=repair)
+        self._live_cluster.restart_node(node_id, repair=repair)

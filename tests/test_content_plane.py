@@ -33,6 +33,11 @@ def make_ring(ring_id="ring-0", n=3, rf=2, batch=4):
     return _FakeRing(ring_id, content, index)
 
 
+def shelf(ring, node_id):
+    """One member's payload shelf (held by its StorageNode)."""
+    return ring.store.nodes[node_id].chunks
+
+
 class TestContentStoreProtocol:
     def test_in_memory_store_conforms(self):
         assert isinstance(InMemoryContentStore(), ContentStore)
@@ -78,7 +83,7 @@ class TestRingContentStore:
         ring.content.put_chunk("fp", b"x")
         ring.content.flush()
         primary = ring.store.replicas_for("fp")[0]
-        assert "fp" in ring.content._shelves[primary]
+        assert "fp" in shelf(ring, primary)
 
     def test_down_primary_falls_to_next_replica(self):
         ring = make_ring()
@@ -86,7 +91,7 @@ class TestRingContentStore:
         ring.store.mark_down(primary)
         ring.content.put_chunk("fp", b"x")
         ring.content.flush()
-        assert "fp" not in ring.content._shelves[primary]
+        assert "fp" not in shelf(ring, primary)
         assert ring.content.get_chunk("fp") == b"x"
 
     def test_all_replicas_down_drops_put(self):
@@ -111,17 +116,18 @@ class TestRingContentStore:
         for i in range(12):
             ring.content.put_chunk(f"fp{i}", bytes([i]))
         ring.content.flush()
-        victim = max(
-            ring.content._shelves, key=lambda n: len(ring.content._shelves[n])
-        )
-        held = len(ring.content._shelves[victim])
+        victim = max(ring.store.nodes, key=lambda n: len(shelf(ring, n)))
+        held = len(shelf(ring, victim))
         assert held > 0
         moved = ring.content.rehome_member(victim)
         assert moved == held
-        # Every chunk still readable, none left on the departed member.
-        assert victim not in ring.content._shelves
+        # The member leaves with its shelf: every chunk is still readable,
+        # none only on the departed member.
+        ring.store.remove_node(victim)
+        assert victim not in ring.store.nodes
         for i in range(12):
             assert ring.content.get_chunk(f"fp{i}") == bytes([i])
+            assert any(f"fp{i}" in shelf(ring, n) for n in ring.store.nodes)
 
     def test_drain_by_member_returns_everything(self):
         ring = make_ring()

@@ -7,13 +7,17 @@ operations must produce identical return values, identical
 ``StoreStats.snapshot()`` counters (and per-pair contacts), and identical
 key sets on both — including the paths where the two used to drift: the
 ``ts_bound`` probe's read/contact accounting, read repair inside a QUORUM
-batch, degraded-key repair on recovery, and batched routing.
+batch, degraded-key repair on recovery, and batched routing. The edge
+payload shelf rides the same coordinator, so a ``RingContentStore`` over
+either driver must agree too: return values, ``ContentStats`` and every
+member's shelf.
 """
 
 from contextlib import contextmanager
 
 import pytest
 
+from repro.content import RingContentStore
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import UnavailableError
 from repro.kvstore.store import DistributedKVStore
@@ -204,3 +208,62 @@ def test_script_pins_the_unified_semantics(pair):
     # ...and still counts every read and contact it made.
     local, remote, contacts = out["probe-bound-counts"][0]
     assert local + remote == 17 and contacts > 0
+
+
+def run_payload_script(env) -> tuple[list, dict]:
+    """Drive a ring content store over ``env``'s coordinator; returns every
+    outcome in order and the final per-member shelves."""
+    store = env.store
+    content = RingContentStore("ring-0", store, batch_size=4)
+    out = []
+    payloads = {f"c{i}": bytes([i]) * (i + 1) for i in range(32)}
+    first, second = list(payloads)[:20], list(payloads)[20:]
+    down = "n1"
+
+    # Puts while a primary is down land on the next replica.
+    store.mark_down(down)
+    assert any(store.replicas_for(fp)[0] == down for fp in first)
+    for fp in first:
+        content.put_chunk(fp, payloads[fp])
+    out.append(("flush", content.flush()))
+    out.append(("get-down", content.get_many(first + ["ghost"])))
+    store.mark_up(down)
+    for fp in second:
+        content.put_chunk(fp, payloads[fp])
+    out.append(("flush", content.flush()))
+    held = sorted(env.shard(down).chunks)
+    assert held
+
+    # A down member keeps its copies through delete_many and clear.
+    store.mark_down(down)
+    out.append(("delete-down", content.delete_many(held[:2] + first[:3])))
+    out.append(("clear-down", content.clear()))
+    out.append(("left-down", sorted(content.fingerprints())))
+    store.mark_up(down)
+    out.append(("get-up", content.get_many(list(payloads))))
+
+    # Membership: rehome a departing member, then it leaves with its shelf.
+    for fp in first:
+        content.put_chunk(fp, payloads[fp])
+    out.append(("rehome", content.rehome_member("n2")))
+    env.remove_node("n2")
+    out.append(("drain", content.drain_by_member()))
+    out.append(("fingerprints", sorted(content.fingerprints())))
+    out.append(("get-all", content.get_many(list(payloads))))
+    out.append(("stats", content.stats.snapshot()))
+    return out, {n: dict(env.shard(n).chunks) for n in store.nodes}
+
+
+def test_payload_shelves_agree_across_drivers():
+    with inproc_pair() as (src, _):
+        expected, expected_shelves = run_payload_script(src)
+    with live_pair() as (src, _):
+        got, got_shelves = run_payload_script(src)
+    for want, have in zip(expected, got):
+        assert have == want
+    assert len(got) == len(expected)
+    assert got_shelves == expected_shelves
+    out = dict(expected)
+    # The down member kept what it held: clear() left exactly its copies.
+    assert out["left-down"] and set(out["left-down"]) <= set(out["get-up"])
+    assert "n2" not in got_shelves

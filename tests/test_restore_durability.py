@@ -319,10 +319,10 @@ class TestRestoreChaosScenario:
             fid = sorted(files)[0]
             fp = cluster.recipes.get(fid).entries[0].fingerprint
             shelves = [
-                shelf
+                node.chunks
                 for ring in cluster.rings
-                for shelf in ring.content._shelves.values()
-                if fp in shelf
+                for node in ring.store.nodes.values()
+                if fp in node.chunks
             ]
             assert shelves
             good = shelves[0][fp]

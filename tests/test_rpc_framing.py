@@ -1,43 +1,94 @@
-"""Tests for the RPC wire layer: codecs, length-prefixed frames, envelopes,
-retry schedules, and the fault injector's rule engine."""
+"""Tests for the RPC wire layer: the codec, length-prefixed frames (with a
+Hypothesis fuzz of the decoder), envelopes, retry schedules, and the fault
+injector's rule engine."""
 
 import asyncio
+import json
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.rpc.errors import FrameError
 from repro.rpc.faults import FaultInjector, FaultRule
 from repro.rpc.framing import (
+    MAX_FRAME_BYTES,
     JsonCodec,
-    available_codecs,
     decode_frame,
-    default_codec_name,
     encode_frame,
-    get_codec,
     read_frame,
 )
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.retry import RetryPolicy
 
 
-class TestCodecs:
-    def test_json_always_available(self):
-        assert "json" in available_codecs()
-        assert get_codec("json") is JsonCodec
+def frame_of(body: bytes) -> bytes:
+    """A frame around an arbitrary (possibly malformed) body."""
+    return struct.pack(">I", len(body)) + body
 
-    def test_default_codec_is_available(self):
-        assert default_codec_name() in available_codecs()
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(FrameError):
-            get_codec("protobuf")
+def body_of(text: bytes, blobs=(), n_blobs=None, lengths=None) -> bytes:
+    """A body with a hand-built header: JSON text, then the blob table."""
+    n = len(blobs) if n_blobs is None else n_blobs
+    sizes = [len(b) for b in blobs] if lengths is None else lengths
+    table = struct.pack(f">{len(sizes)}I", *sizes)
+    return struct.pack(">II", len(text), n) + text + table + b"".join(blobs)
 
-    @pytest.mark.parametrize("name", sorted(available_codecs()))
-    def test_roundtrip(self, name):
-        codec = get_codec(name)
+
+async def read_all(data: bytes, eof: bool = True) -> list:
+    """Every message ``read_frame`` yields from a stream holding ``data``."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    out = []
+    while (obj := await read_frame(reader)) is not None:
+        out.append(obj)
+    return out
+
+
+def read_stream(data: bytes, eof: bool = True, timeout_s: float = 1.0) -> list:
+    """Run :func:`read_all` with a hang guard."""
+    return asyncio.run(asyncio.wait_for(read_all(data, eof), timeout_s))
+
+
+class TestCodec:
+    def test_roundtrip(self):
         obj = {"kind": "req", "id": "x-1", "params": {"keys": ["a", "b"], "n": 3}}
-        assert codec.decode(codec.encode(obj)) == obj
+        assert JsonCodec.decode(JsonCodec.encode(obj)) == obj
+
+    def test_plain_message_is_one_json_document(self):
+        obj = {"n": [1, 2], "s": "\u00e9t\u00e9"}
+        body = JsonCodec.encode(obj)
+        json_len, n_blobs = struct.unpack_from(">II", body)
+        assert n_blobs == 0 and len(body) == 8 + json_len
+        assert json.loads(body[8:]) == obj
+
+    def test_bytes_ride_raw_in_the_tail(self):
+        payload = bytes(range(256)) * 16
+        obj = {"entries": [["fp", payload]]}
+        body = JsonCodec.encode(obj)
+        json_len, n_blobs = struct.unpack_from(">II", body)
+        assert n_blobs == 1
+        assert body.endswith(payload)  # verbatim: no text encoding
+        assert len(body) == 8 + json_len + 4 + len(payload)
+        assert JsonCodec.decode(body) == obj
+
+    def test_decoded_payloads_are_bytes_copies(self):
+        body = JsonCodec.encode({"a": b"x" * 100, "b": [b"", b"yz"]})
+        decoded = JsonCodec.decode(body)
+        assert type(decoded["a"]) is bytes and decoded["a"] == b"x" * 100
+        assert [type(v) for v in decoded["b"]] == [bytes, bytes]
+
+    def test_reserved_key_next_to_bytes_rejected(self):
+        with pytest.raises(FrameError):
+            JsonCodec.encode({"\x00": 0, "payload": b"x"})
+        with pytest.raises(FrameError):
+            JsonCodec.encode([{"k": 1, "\x00": 0}, b"x"])
+        # Without bytes there is no placeholder to confuse it with.
+        assert JsonCodec.decode(JsonCodec.encode({"\x00": 0})) == {"\x00": 0}
 
 
 class TestFrames:
@@ -48,10 +99,11 @@ class TestFrames:
         assert consumed == len(encode_frame(obj))
 
     def test_frames_are_self_describing(self):
-        # Every codec's frame decodes without knowing the codec up front.
-        for name in available_codecs():
-            decoded, _ = decode_frame(encode_frame({"n": 1}, get_codec(name)))
-            assert decoded == {"n": 1}
+        # A frame's header says where its JSON ends and its blobs lie, so
+        # a reader decodes any message without knowing its shape up front.
+        for obj in ({"n": 1}, {"chunks": {"a": b"1", "b": None, "c": b""}}):
+            decoded, _ = decode_frame(encode_frame(obj))
+            assert decoded == obj
 
     def test_truncated_frame_rejected(self):
         frame = encode_frame({"k": "v"})
@@ -62,11 +114,28 @@ class TestFrames:
         with pytest.raises(FrameError):
             decode_frame(b"\x00\x00")
 
-    def test_unknown_codec_id_rejected(self):
-        frame = bytearray(encode_frame({"k": "v"}))
-        frame[4] = 250  # stomp the codec byte
-        with pytest.raises(FrameError):
-            decode_frame(bytes(frame))
+    def test_tail_table_overrun_rejected(self):
+        text = b'{"k":{"\\u0000":0}}'
+        for body in (
+            body_of(text, n_blobs=1_000_000, lengths=[]),  # table past the end
+            body_of(text, [b"abc"], lengths=[4]),  # blob past the end
+            body_of(text, [b"abc"], lengths=[2]),  # stray tail bytes
+            body_of(text, [b"abc"], n_blobs=0, lengths=[]),  # no table at all
+            body_of(b'{"k":{"\\u0000":1}}', [b"abc"]),  # no such blob
+        ):
+            with pytest.raises(FrameError):
+                decode_frame(frame_of(body))
+
+    def test_malformed_bodies_raise_frame_error(self):
+        for frame in (
+            b"\x00\x00\x00\x02\x00{",  # body shorter than its header
+            frame_of(body_of(b"{")),  # not JSON
+            frame_of(body_of(b"\xff\xfe")),  # not UTF-8
+            frame_of(body_of(b'{"k":{"\\u0000":"x"}}', [b"a"])),  # bad placeholder
+            frame_of(body_of(b"[" * 100_000 + b"]" * 100_000)),  # too deep
+        ):
+            with pytest.raises(FrameError):
+                decode_frame(frame)
 
     def test_oversize_length_rejected(self):
         with pytest.raises(FrameError):
@@ -80,30 +149,95 @@ class TestFrames:
 
 
 class TestAsyncReadFrame:
-    def _reader_with(self, data: bytes) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return reader
-
     def test_reads_stream_of_frames(self):
-        async def run():
-            reader = self._reader_with(
-                encode_frame({"i": 1}) + encode_frame({"i": 2})
-            )
-            assert await read_frame(reader) == {"i": 1}
-            assert await read_frame(reader) == {"i": 2}
-            assert await read_frame(reader) is None  # clean EOF
-
-        asyncio.run(run())
+        data = encode_frame({"i": 1}) + encode_frame({"i": 2, "b": b"\x00"})
+        assert read_stream(data) == [{"i": 1}, {"i": 2, "b": b"\x00"}]  # then EOF
 
     def test_eof_mid_frame_is_an_error(self):
-        async def run():
-            reader = self._reader_with(encode_frame({"i": 1})[:-2])
-            with pytest.raises(FrameError):
-                await read_frame(reader)
+        with pytest.raises(FrameError):
+            read_stream(encode_frame({"i": 1})[:-2])
 
-        asyncio.run(run())
+    def test_oversize_prefix_rejected_before_the_body(self):
+        # No EOF and no body: a reader that waited for the body would hang.
+        with pytest.raises(FrameError):
+            read_stream(struct.pack(">I", MAX_FRAME_BYTES + 1), eof=False)
+
+
+# Messages the store could send: JSON values plus bytes anywhere. Dict keys
+# avoid "\x00", the placeholder key a message with bytes may not use.
+_keys = st.text(max_size=6).filter(lambda k: k != "\x00")
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+    | st.binary(max_size=48)
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=16,
+)
+# A message is a dict, as every envelope is (a bare null would read as EOF).
+_messages = st.dictionaries(_keys, _values, max_size=4)
+
+
+class TestFrameFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    @example(b"\x00\x00\x00\x02\x00{")
+    def test_decode_frame_is_total(self, data):
+        for frame in (data, frame_of(data)):
+            try:
+                decode_frame(frame)
+            except FrameError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=24), st.lists(st.binary(max_size=8), max_size=3))
+    def test_decode_of_structured_garbage_is_total(self, text, blobs):
+        # Valid headers around arbitrary JSON text and tails reach the
+        # parser instead of failing on the length checks.
+        try:
+            decode_frame(frame_of(body_of(text, blobs)))
+        except FrameError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=48))
+    def test_read_frame_on_arbitrary_streams(self, data):
+        # A closed stream never leaves the reader waiting: read_stream's
+        # hang guard would raise TimeoutError, which fails the property.
+        try:
+            read_stream(data)
+        except FrameError:
+            pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.dictionaries(_keys, _leaves, max_size=3), min_size=1, max_size=3), st.data())
+    def test_truncated_streams_end_in_frame_error(self, messages, data):
+        stream = b"".join(encode_frame(m) for m in messages)
+        cut = data.draw(st.integers(min_value=0, max_value=len(stream)))
+        bounds = [0]
+        for m in messages:
+            bounds.append(bounds[-1] + len(encode_frame(m)))
+        whole = sum(1 for b in bounds[1:] if b <= cut)
+        if cut in bounds:
+            assert read_stream(stream[:cut]) == messages[:whole]
+        else:
+            with pytest.raises(FrameError):
+                read_stream(stream[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_messages)
+    @example({"chunks": {"a": b"", "b": None, "\u00e9\u4e2d": [b"", b"x", "\U0001f600"]}})
+    @example({"blobs": [b"\x00" * 3] * 300})
+    @example({"entries": [[f"fp{i}", bytes([i]) * i] for i in range(40)]})
+    def test_roundtrip_with_bytes(self, message):
+        decoded, consumed = decode_frame(encode_frame(message))
+        assert decoded == message
+        assert consumed == len(encode_frame(message))
 
 
 class TestEnvelopes:
@@ -124,6 +258,13 @@ class TestEnvelopes:
             Request.from_wire({"kind": "resp", "id": "x"})
         with pytest.raises(FrameError):
             Request.from_wire(["not", "a", "dict"])
+        for bad in (
+            {"kind": "req", "id": [1], "method": "ping"},
+            {"kind": "req", "id": "x", "method": "ping", "params": [1]},
+            {"kind": "req", "id": "x", "method": "ping", "deadline_s": "soon"},
+        ):
+            with pytest.raises(FrameError):
+                Request.from_wire(bad)
 
     def test_correlation_ids_unique_across_clients(self):
         a, b = correlation_ids(), correlation_ids()

@@ -4,6 +4,10 @@ semantics — exactly like the in-process DistributedKVStore, with transport
 faults (drops, delays, duplicates, partitions) masked by retries or surfaced
 as typed errors."""
 
+import asyncio
+import gc
+import struct
+
 import pytest
 
 from repro.kvstore.consistency import ConsistencyLevel
@@ -16,6 +20,8 @@ from repro.rpc import (
     RetryPolicy,
     RpcTimeoutError,
 )
+from repro.rpc.framing import encode_frame
+from repro.rpc.server import NodeServer
 
 NODE_IDS = ["n0", "n1", "n2"]
 
@@ -363,3 +369,45 @@ class TestHandlerFaults:
             # The connection survived: the next call on it is served.
             del server.node.multi_get
             assert cluster.store.get("k", coordinator="n0") is None
+
+
+class TestMalformedFrames:
+    """A frame the server cannot read as a request drops that connection
+    and counts in ``server.errors``; the failure never escapes the
+    connection task to the event loop's exception handler."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            encode_frame({"x": 1}),  # valid JSON, not a request envelope
+            struct.pack(">I", 10) + struct.pack(">II", 2, 0) + b"\xff\xfe",  # not JSON
+            encode_frame({"kind": "req", "id": [1], "method": "ping"}),  # bad id type
+        ],
+        ids=["not-a-request", "not-json", "unhashable-id"],
+    )
+    def test_raw_socket_garbage_closes_the_connection(self, frame):
+        async def run():
+            escaped = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: escaped.append(context))
+            server = NodeServer(node_id="n0")
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(frame)
+                await writer.drain()
+                tail = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                while server._conn_tasks:  # let the connection task finish
+                    await asyncio.sleep(0.005)
+                gc.collect()  # an unretrieved task exception reports on collection
+                await asyncio.sleep(0)
+                return tail, server.stats.errors, escaped
+            finally:
+                await server.stop()
+
+        tail, errors, escaped = asyncio.run(run())
+        assert tail == b""  # the server closed the stream without answering
+        assert errors == 1
+        assert escaped == []
